@@ -16,7 +16,6 @@ from .core import (
     quadratic_form,
     round_half_up_vector,
 )
-from .eigen import EigenDecomposition, symmetric_eig
 from .errors import ConvergenceError, ResourceBudgetError
 from .gram import (
     MimoChannel,
@@ -41,7 +40,6 @@ __all__ = [
     "CoefficientVector",
     "ConvergenceError",
     "DpkDecomposition",
-    "EigenDecomposition",
     "GramMatrix",
     "MimoChannel",
     "ResourceBudgetError",
@@ -63,7 +61,6 @@ __all__ = [
     "search_radius_psi",
     "solve_dpk",
     "solve_single",
-    "symmetric_eig",
     "validate_dpk",
     "vertex_set",
 ]

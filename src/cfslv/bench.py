@@ -255,17 +255,3 @@ def render_json(records: list[TrialRecord], zero_timing: bool = False) -> str:
         rows.append({field: value for field, value in zip(CSV_FIELDS, values)})
     return json.dumps(rows, indent=2) + "\n"
 
-
-def oracle_gram_for_trial(config: BenchConfig, trial_id: int):
-    """Rebuild the Gram matrix a trial used, for external re-checks."""
-    rng = trial_rng(config.seed, trial_id)
-    n_lo, n_hi = config.n_range
-    n = int(rng.integers(n_lo, n_hi + 1))
-    p_lo, p_hi = config.power_range
-    power = float(np.exp(rng.uniform(math.log(p_lo), math.log(p_hi))))
-    if config.mode == "single":
-        h = rng.standard_normal(n)
-        return build_gram_single(h, power), h, power
-    h_matrix = rng.standard_normal((n, config.k))
-    gram, _ = build_gram_mimo(MimoChannel(h_matrix=h_matrix, power=power))
-    return gram, h_matrix, power

@@ -7,11 +7,9 @@ their invariants once at construction so the solvers can stay lean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .eigen import jacobi_eigh
 
 SYMMETRY_RTOL = 1e-12
 RANK_SV_RTOL = 1e-10
@@ -69,11 +67,14 @@ class GramMatrix:
     """Symmetric positive definite matrix defining the lattice norm.
 
     Construction enforces symmetry to a 1e-12 relative tolerance (then
-    symmetrizes exactly) and positive definiteness via an eigenvalue
-    check.  Entries are stored read-only.
+    symmetrizes exactly) and positive definiteness via one LAPACK
+    eigenvalue solve.  Entries are stored read-only; the smallest
+    eigenvalue from that solve is kept as min_eigenvalue, so search
+    radii never eigensolve the matrix again.
     """
 
     entries: np.ndarray
+    min_eigenvalue: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         g = np.array(self.entries, dtype=float)
@@ -85,12 +86,13 @@ class GramMatrix:
         if np.any(gap > SYMMETRY_RTOL * np.maximum(1.0, np.abs(g))):
             raise ValueError("Gram matrix is not symmetric within 1e-12 relative tolerance")
         g = 0.5 * (g + g.T)
-        lam_min = float(jacobi_eigh(g)[0][-1])
+        lam_min = float(np.linalg.eigvalsh(g)[0])
         if not lam_min > 0.0:
             raise ValueError(
                 f"Gram matrix is not positive definite (smallest eigenvalue {lam_min:.3e})"
             )
         object.__setattr__(self, "entries", _freeze(g))
+        object.__setattr__(self, "min_eigenvalue", lam_min)
 
     @property
     def n(self) -> int:
@@ -125,7 +127,7 @@ class DpkDecomposition:
         if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:
             raise ValueError("V must have full column rank")
         m = np.diag(d) - v @ v.T
-        lam_min = float(jacobi_eigh(0.5 * (m + m.T))[0][-1])
+        lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
         if not lam_min > 0.0:
             raise ValueError("diag(d) - V V^T is not positive definite")
         object.__setattr__(self, "d", _freeze(d))

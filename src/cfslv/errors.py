@@ -10,4 +10,10 @@ class ResourceBudgetError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative eigensolver failed to reach its tolerance."""
+    """An iterative numerical routine failed to reach its tolerance.
+
+    No cfslv routine raises it now (eigenvalues come from LAPACK, whose
+    failures surface as numpy.linalg.LinAlgError, a ValueError).  It
+    stays public so callers that isolate per-trial failures by type can
+    keep naming it.
+    """

@@ -23,7 +23,6 @@ from .core import (
     as_gram_matrix,
     _freeze,
 )
-from .eigen import symmetric_eig
 
 DPK_RESIDUAL_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-12
@@ -108,10 +107,11 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     power = channel.power
     n, k = channel.n, channel.k
     outer = h @ h.T
-    dec = symmetric_eig(0.5 * (outer + outer.T))
-    gains2 = dec.values[:k]
+    values, vectors = np.linalg.eigh(0.5 * (outer + outer.T))
+    # eigh sorts ascending; take the top k pairs, largest first
+    gains2 = values[::-1][:k]
     keep = gains2 > EIGENVALUE_FLOOR
-    w = dec.vectors[:, :k][:, keep]
+    w = vectors[:, ::-1][:, :k][:, keep]
     gains2 = gains2[keep]
     if gains2.size == 0:
         return GramMatrix(np.eye(n)), None
@@ -149,7 +149,7 @@ def search_radius_psi(g) -> float:
     singular).
     """
     g = as_gram_matrix(g)
-    lam_min = float(symmetric_eig(g.entries).values[-1])
+    lam_min = g.min_eigenvalue
     if lam_min <= EIGENVALUE_FLOOR:
         raise ValueError(f"Gram matrix is numerically singular (lambda_min = {lam_min:.3e})")
     return float(math.sqrt(float(np.min(np.diag(g.entries))) / lam_min))

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from .core import CoefficientVector, SolverResult, as_gram_matrix, quad_objective
-from .eigen import symmetric_eig
 from .errors import ResourceBudgetError
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
@@ -48,7 +47,7 @@ def certification_radius(g, f_value: float) -> float:
     g = as_gram_matrix(g)
     if not (math.isfinite(f_value) and f_value > 0.0):
         raise ValueError("objective bound must be finite and positive")
-    lam_min = float(symmetric_eig(g.entries).values[-1])
+    lam_min = g.min_eigenvalue
     if lam_min <= 1e-12:
         raise ValueError(f"Gram matrix is numerically singular (lambda_min = {lam_min:.3e})")
     return max(1.0, math.sqrt(f_value / lam_min) * (1.0 + 1e-9))

@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from .core import (
+    RANK_SV_RTOL,
     CoefficientVector,
     DpkDecomposition,
     SolverResult,
@@ -29,7 +30,6 @@ from .gram import search_radius_psi, validate_dpk
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
-RANK_SV_RTOL = 1e-10
 _CHUNK_ROWS = 1 << 20
 
 

@@ -15,6 +15,7 @@ from cfslv.core import (
     quadratic_form,
     round_half_up_vector,
 )
+from cfslv.errors import ConvergenceError
 
 nonzero_int_vectors = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=1, max_size=8
@@ -156,6 +157,16 @@ def test_dpk_decomposition_validation():
     assert dec.n == 2 and dec.k == 1
 
 
+def test_dpk_decomposition_rejects_marginally_indefinite():
+    # diag(d) - V V^T has smallest eigenvalue -2e-6 (rank 1) and -1e-6
+    # (rank 2): just below zero, but still rejected
+    with pytest.raises(ValueError, match="positive definite"):
+        DpkDecomposition(d=np.array([2.0, 2.0]), v=np.full((2, 1), np.sqrt(1.0 + 1e-6)))
+    with pytest.raises(ValueError, match="positive definite"):
+        DpkDecomposition(d=np.ones(3),
+                         v=np.array([[np.sqrt(1.0 + 1e-6), 0.0], [0.0, 0.5], [0.0, 0.0]]))
+
+
 def test_solver_result_validation():
     a = CoefficientVector([1, 0])
     with pytest.raises(ValueError):
@@ -164,3 +175,7 @@ def test_solver_result_validation():
     with pytest.raises(ValueError):
         SolverResult(a_star=a, f_star=1.0, candidates_evaluated=0,
                      breakpoint_count=0, elapsed_seconds=0.0)
+
+
+def test_convergence_error_is_a_runtime_error():
+    assert issubclass(ConvergenceError, RuntimeError)

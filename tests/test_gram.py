@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cfslv.core import DpkDecomposition, GramMatrix
-from cfslv.eigen import symmetric_eig
 from cfslv.gram import (
     MimoChannel,
     build_gram_mimo,
@@ -13,6 +12,7 @@ from cfslv.gram import (
     search_radius_psi,
     validate_dpk,
 )
+from cfslv.oracle import certification_radius
 
 
 def test_single_axis_channel():
@@ -43,7 +43,7 @@ def test_single_min_eigenvalue_is_one():
         h = rng.standard_normal(n)
         power = float(rng.uniform(0.05, 50.0))
         g = build_gram_single(h, power)
-        lam_min = symmetric_eig(g.entries).values[-1]
+        lam_min = np.linalg.eigvalsh(g.entries)[0]
         assert abs(lam_min - 1.0) <= 1e-9
 
 
@@ -132,8 +132,8 @@ def test_mimo_self_consistency_random():
         gram, dec = build_gram_mimo(channel)
         assert dec is not None
         assert validate_dpk(gram, dec, 1e-9)
-        lam = symmetric_eig(gram.entries).values
-        assert lam[0] <= 1.0 + 1e-12 and lam[-1] > 0.0
+        lam = np.linalg.eigvalsh(gram.entries)
+        assert lam[-1] <= 1.0 + 1e-12 and lam[0] > 0.0
 
 
 def test_mimo_channel_validation():
@@ -147,6 +147,28 @@ def test_mimo_channel_validation():
 
 def test_search_radius_identity():
     assert search_radius_psi(GramMatrix(np.eye(3))) == 1.0
+
+
+def test_near_singular_gram_is_accepted_but_has_no_radius():
+    # positive definite, so construction succeeds, but below the 1e-12
+    # floor both search radii refuse to divide by lambda_min
+    g = GramMatrix(np.diag([1.0, 1e-13]))
+    assert g.min_eigenvalue == 1e-13
+    with pytest.raises(ValueError, match="singular"):
+        search_radius_psi(g)
+    with pytest.raises(ValueError, match="singular"):
+        certification_radius(g, 1.0)
+
+
+def test_min_eigenvalue_matches_lapack_at_large_scale():
+    rng = np.random.default_rng(13)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    spectrum = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 5.0]) * 1e8
+    g = GramMatrix((q * spectrum) @ q.T)
+    assert np.max(np.abs(g.entries)) > 1e8
+    ref = float(np.linalg.eigvalsh(g.entries)[0])
+    assert abs(g.min_eigenvalue - ref) <= 1e-9 * ref
+    assert abs(g.min_eigenvalue - 1e8) <= 1e-9 * 1e8
 
 
 def test_search_radius_mimo_example():
