@@ -27,15 +27,14 @@ from .gram import (
 )
 from .oracle import brute_force_slv, certification_radius
 from .rate import computation_rate, rate_from_objective
-from .solver_dpk import VertexSet, solve_dpk, vertex_set
-from .solver_single import BreakpointSet, breakpoints, solve_single
+from .solver_dpk import solve_dpk, vertex_set
+from .solver_single import solve_single
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig",
     "BenchResult",
-    "BreakpointSet",
     "ChannelVector",
     "CoefficientVector",
     "ConvergenceError",
@@ -45,7 +44,6 @@ __all__ = [
     "ResourceBudgetError",
     "SolverResult",
     "TrialRecord",
-    "VertexSet",
     "brute_force_slv",
     "build_gram_mimo",
     "build_gram_single",

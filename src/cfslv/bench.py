@@ -105,19 +105,16 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     p_lo, p_hi = config.power_range
     power = float(np.exp(rng.uniform(math.log(p_lo), math.log(p_hi))))
 
-    budget = config.budget
+    kwargs = {} if config.budget is None else {"budget": config.budget}
     if config.mode == "single":
         h = rng.standard_normal(n)
-        kwargs = {} if budget is None else {"budget": budget}
         res = solve_single(h, power, **kwargs)
-        gram = build_gram_single(h, power)
         k = 1
         rate = rate_from_objective(res.f_star, h, power)
     else:
         h_matrix = rng.standard_normal((n, config.k))
         channel = MimoChannel(h_matrix=h_matrix, power=power)
         gram, dec = build_gram_mimo(channel)
-        kwargs = {} if budget is None else {"budget": budget}
         res = solve_dpk(gram, dec, **kwargs)
         k = config.k
         rate = max(0.0, -0.5 * math.log2(res.f_star))
@@ -126,9 +123,11 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     match = None
     elapsed_oracle = 0.0
     if config.oracle:
+        if config.mode == "single":
+            # only the oracle reads the dense Gram matrix of a single-antenna trial
+            gram = build_gram_single(h, power)
         radius = certification_radius(gram, res.f_star)
-        okwargs = {} if budget is None else {"budget": budget}
-        ores = brute_force_slv(gram, radius, **okwargs)
+        ores = brute_force_slv(gram, radius, **kwargs)
         f_oracle = ores.f_star
         match = match_within_tolerance(res.f_star, f_oracle)
         elapsed_oracle = ores.elapsed_seconds

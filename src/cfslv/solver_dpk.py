@@ -24,6 +24,7 @@ from .core import (
     as_gram_matrix,
     canonical_sign,
     quad_objective,
+    _freeze,
 )
 from .errors import ResourceBudgetError
 from .gram import search_radius_psi, validate_dpk
@@ -33,32 +34,17 @@ VERTEX_DEDUP_TOL = 1e-9
 _CHUNK_ROWS = 1 << 20
 
 
-class VertexSet:
-    """Deduplicated vertices of the rounding-cell arrangement."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: np.ndarray) -> None:
-        points = np.array(points, dtype=float)
-        if points.ndim != 2:
-            raise ValueError("vertices must form a two-dimensional array")
-        points.setflags(write=False)
-        self.points = points
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def vertex_set(dec: DpkDecomposition, psi: float, *,
-               budget: int | None = DEFAULT_COMBINATION_BUDGET) -> VertexSet:
+               budget: int | None = DEFAULT_COMBINATION_BUDGET) -> np.ndarray:
     """Arrangement vertices x solving (diag(d)^-1 V)_pi x = c.
 
     Every size-k row subset pi whose submatrix is nonsingular is paired
     with every vector c of half-integers bounded by ceil(psi) + 1/2.
     Singular subsets (singular value ratio at or below 1e-10) are
     skipped.  Points closer than 1e-9 in Euclidean distance to their
-    sorted predecessor are merged.  Raises ResourceBudgetError if the
-    solve count C(n,k) * (2 ceil(psi) + 2)^k exceeds budget.
+    sorted predecessor are merged.  Returns the lexicographically sorted
+    vertices as a read-only (m, k) array.  Raises ResourceBudgetError if
+    the solve count C(n,k) * (2 ceil(psi) + 2)^k exceeds budget.
     """
     if not isinstance(dec, DpkDecomposition):
         raise ValueError("expected a DpkDecomposition")
@@ -85,13 +71,13 @@ def vertex_set(dec: DpkDecomposition, psi: float, *,
             continue
         found.append(np.linalg.solve(sub, rhs.T).T)
     if not found:
-        return VertexSet(np.empty((0, k)))
+        return _freeze(np.empty((0, k)))
     pts = np.vstack(found)
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     gaps = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
     keep = np.concatenate([[True], gaps > VERTEX_DEDUP_TOL])
-    return VertexSet(pts[keep])
+    return _freeze(pts[keep])
 
 
 def _mean_chunks(pts: np.ndarray, size: int):
@@ -164,7 +150,7 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         # must not be allowed to truncate the half-integer range
         psi = max(1.0, search_radius_psi(g))
         verts = vertex_set(dec, psi, budget=budget)
-        vertex_count = len(verts)
+        vertex_count = verts.shape[0]
         k = dec.k
         n_groups = math.comb(vertex_count, k + 1)
         if budget is not None and n_groups > budget:
@@ -172,7 +158,7 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
                 f"{n_groups} vertex groups of size {k + 1} exceed budget {budget}"
             )
         ratios = dec.v / dec.d[:, None]
-        for block in _mean_chunks(verts.points, k + 1):
+        for block in _mean_chunks(verts, k + 1):
             cand = np.floor(block @ ratios.T + 0.5)
             nonzero = np.any(cand != 0.0, axis=1)
             if not nonzero.all():

@@ -1,11 +1,13 @@
-"""Exact single-antenna coefficient search in O(n log n) candidates.
+"""Exact single-antenna coefficient search by one sweep over x > 0.
 
 For G = (1 + P|h|^2) I - P h h^T every optimal coefficient vector is
 either a signed unit vector or the coordinate-wise rounding of x*h for
-some real x.  As x grows from 0, round(x*h) changes only when some
-x*h_j crosses a half-integer, so sweeping the midpoints between
-consecutive crossing points visits every rounding pattern that can
-matter inside the norm bound psi = sqrt(1 + P|h|^2).
+some x > 0 (round(-x*h) = -round(x*h), and f(-a) = f(a)).  As x grows,
+|round(x*h_j)| steps from c to c + 1 where x crosses (c + 1/2) / |h_j|;
+that adds 2c + 1 to |a|^2 and |h_j| to h.a.  Sorting the crossings once
+and taking prefix sums therefore scores every rounding pattern within
+the norm bound psi = sqrt(1 + P|h|^2) in O(1) each, on integer states,
+so no tolerance is involved.
 """
 
 from __future__ import annotations
@@ -26,65 +28,17 @@ from .errors import ResourceBudgetError
 from .gram import _check_power
 
 DEFAULT_BREAKPOINT_BUDGET = 10_000_000
-DEDUP_RTOL = 1e-12
-# chunk rows so scratch matrices stay a few tens of MB
-_CHUNK_ELEMENTS = 1 << 22
-
-
-class BreakpointSet:
-    """Sorted, deduplicated crossing points of x -> round(x*h)."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: np.ndarray) -> None:
-        points = np.array(points, dtype=float)
-        if points.ndim != 1:
-            raise ValueError("breakpoints must form a one-dimensional array")
-        if points.size > 1 and np.any(np.diff(points) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        points.setflags(write=False)
-        self.points = points
-
-    def __len__(self) -> int:
-        return self.points.size
-
-
-def breakpoints(h, psi: float) -> BreakpointSet:
-    """All x where some coordinate of x*h sits on a half-integer.
-
-    Coordinate j contributes c / |h_j| for every half-integer c with
-    |c| <= ceil(psi) + 1/2; zero coordinates contribute nothing.  The
-    merged set is sorted and deduplicated at 1e-12 relative tolerance.
-    """
-    h = as_channel_vector(h)
-    psi = float(psi)
-    if not (math.isfinite(psi) and psi >= 1.0):
-        raise ValueError("search radius must be finite and at least 1")
-    mags = np.abs(h.entries[h.entries != 0.0])
-    if mags.size == 0:
-        return BreakpointSet(np.empty(0))
-    cmax = math.ceil(psi)
-    pos = np.arange(0.5, cmax + 1.0, 1.0)
-    cs = np.concatenate([-pos[::-1], pos])
-    # crossings that overflow the float range cannot affect any candidate
-    with np.errstate(over="ignore"):
-        pts = np.sort((cs[None, :] / mags[:, None]).ravel())
-    pts = pts[np.isfinite(pts)]
-    if pts.size == 0:
-        return BreakpointSet(pts)
-    gaps = np.diff(pts)
-    keep = np.concatenate([[True], gaps > DEDUP_RTOL * np.maximum(1.0, np.abs(pts[1:]))])
-    return BreakpointSet(pts[keep])
 
 
 def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> SolverResult:
     """Exact minimizer of a^T G a over nonzero integer vectors.
 
-    Initializes with the best signed unit vector, then scans one
-    candidate per interval between consecutive breakpoints, keeping the
-    strictly best objective (ties resolve to the earliest candidate, so
-    a unit vector wins any tie).  Raises ResourceBudgetError if the
-    worst-case breakpoint count n * (2 ceil(psi) + 2) exceeds budget.
+    Initializes with the best signed unit vector, then scores the
+    rounding of x*h on each open interval between consecutive distinct
+    crossings (c + 1/2) / |h_j|, c = 0..ceil(psi), keeping the strictly
+    best objective (ties resolve to the smallest x, and a unit vector
+    wins any tie).  Raises ResourceBudgetError if the worst-case
+    breakpoint count n * (2 ceil(psi) + 2) exceeds budget.
     """
     t0 = time.perf_counter()
     h = as_channel_vector(h)
@@ -100,7 +54,6 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     best_a = np.zeros(n, dtype=np.int64)
     best_a[unit_index] = 1
     best_x: float | None = None
-    candidates = n
 
     psi = math.sqrt(scale)
     worst_case = n * (2 * math.ceil(psi) + 2)
@@ -108,28 +61,24 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
         raise ResourceBudgetError(
             f"breakpoint bound {worst_case} exceeds budget {budget}"
         )
-    bset = breakpoints(h, psi)
-    pts = bset.points
-    m = pts.size
-
-    chunk = max(1, _CHUNK_ELEMENTS // max(n, 1))
-    for start in range(0, max(m - 1, 0), chunk):
-        stop = min(start + chunk, m - 1)
-        xs = 0.5 * (pts[start:stop] + pts[start + 1 : stop + 1])
-        cand = np.floor(xs[:, None] * hv[None, :] + 0.5)
-        nonzero = np.any(cand != 0.0, axis=1)
-        if not nonzero.all():
-            cand = cand[nonzero]
-            xs = xs[nonzero]
-        if cand.shape[0] == 0:
-            continue
-        candidates += cand.shape[0]
-        f = scale * np.einsum("ij,ij->i", cand, cand) - power * (cand @ hv) ** 2
-        j = int(np.argmin(f))
-        if f[j] < best_f:
-            best_f = float(f[j])
-            best_a = cand[j].astype(np.int64)
-            best_x = float(xs[j])
+    mags = np.abs(hv)
+    nz = np.flatnonzero(mags)
+    c = np.arange(math.ceil(psi) + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        xs = ((c + 0.5) / mags[nz, None]).ravel()
+    # overflowing crossings sort last and lie beyond every x the sweep reaches
+    order = np.argsort(xs, kind="stable")[: np.count_nonzero(np.isfinite(xs))]
+    xs = xs[order]
+    coord = np.repeat(nz, c.size)[order]
+    norm2 = np.cumsum(np.tile(2.0 * c + 1.0, nz.size)[order])
+    dot = np.cumsum(mags[coord])
+    # prefix j is round(x*h) on (xs[j], xs[j+1]) when that interval is open
+    scored = np.flatnonzero(xs[1:] > xs[:-1])
+    f = scale * norm2[scored] - power * dot[scored] ** 2
+    if f.size and f.min() < best_f:
+        j = int(scored[np.argmin(f)])
+        best_a = np.bincount(coord[: j + 1], minlength=n) * np.sign(hv).astype(np.int64)
+        best_x = 0.5 * (float(xs[j]) + float(xs[j + 1]))
 
     result = canonical_sign(CoefficientVector(best_a))
     if best_x is not None and not np.array_equal(result.entries, best_a):
@@ -137,8 +86,8 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     return SolverResult(
         a_star=result,
         f_star=quad_objective(g_arr, result.entries),
-        candidates_evaluated=candidates,
-        breakpoint_count=int(m),
+        candidates_evaluated=n + scored.size,
+        breakpoint_count=int(xs.size),
         elapsed_seconds=time.perf_counter() - t0,
         witness_point=None if best_x is None else np.array([best_x]),
     )

@@ -1,0 +1,88 @@
+"""Write golden_a_star.json: solver outputs pinned for later solver swaps.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python tests/data/make_golden_a_star.py > tests/data/golden_a_star.json
+
+Each instance is drawn from cfslv.bench.trial_rng(seed, 0) and solved by
+solve_single (single antenna) or build_gram_mimo + solve_dpk (MIMO);
+the oracle certifies every result.  Floats are stored as float.hex so
+the file is exact.  tests/test_golden.py re-solves the stored instances
+and checks that a_star is unchanged and f_star is within 1e-12 relative.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+
+from cfslv.bench import match_within_tolerance, trial_rng
+from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
+from cfslv.oracle import brute_force_slv, certification_radius
+from cfslv.solver_dpk import solve_dpk
+from cfslv.solver_single import solve_single
+
+# (kind, first seed, count)
+FAMILIES = (
+    ("single-random", 1000, 60),
+    ("single-commensurate", 2000, 40),
+    ("mimo-k1", 3000, 30),
+    ("mimo-k2", 4000, 30),
+)
+
+
+def log_uniform(rng, lo: float, hi: float) -> float:
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def draw(kind: str, seed: int):
+    """Channel (vector or (n, k) matrix) and power for one instance."""
+    rng = trial_rng(seed, 0)
+    if kind == "single-random":
+        n = int(rng.integers(2, 8))
+        return rng.standard_normal(n), log_uniform(rng, 2.0, 50.0)
+    if kind == "single-commensurate":
+        n = int(rng.integers(2, 6))
+        h = rng.integers(-4, 5, n) / float(rng.integers(1, 4))
+        return h, log_uniform(rng, 0.5, 20.0)
+    if kind == "mimo-k1":
+        n = int(rng.integers(2, 7))
+        return rng.standard_normal((n, 1)), log_uniform(rng, 1.0, 20.0)
+    n = int(rng.integers(2, 4))
+    return rng.standard_normal((n, 2)), log_uniform(rng, 0.5, 4.0)
+
+
+def solve(kind: str, h, power: float):
+    if kind.startswith("single"):
+        return build_gram_single(h, power), solve_single(h, power)
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=power))
+    return gram, solve_dpk(gram, dec)
+
+
+def main() -> None:
+    rows = []
+    for kind, first, count in FAMILIES:
+        for seed in range(first, first + count):
+            h, power = draw(kind, seed)
+            gram, res = solve(kind, h, power)
+            oracle = brute_force_slv(gram, certification_radius(gram, res.f_star))
+            if not match_within_tolerance(res.f_star, oracle.f_star):
+                raise SystemExit(f"{kind} seed {seed}: solver and oracle disagree")
+            rows.append({
+                "kind": kind,
+                "seed": seed,
+                "power": power.hex(),
+                "h": [[float(x).hex() for x in row] for row in h] if h.ndim == 2
+                     else [float(x).hex() for x in h],
+                "a_star": res.a_star.entries.tolist(),
+                "f_star": res.f_star.hex(),
+                "f_oracle": oracle.f_star.hex(),
+            })
+    # one instance per line keeps the file diffable
+    lines = ",\n".join(json.dumps(row) for row in rows)
+    sys.stdout.write(f'{{"instances": [\n{lines}\n]}}\n')
+
+
+if __name__ == "__main__":
+    main()

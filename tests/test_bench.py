@@ -1,11 +1,13 @@
 """Benchmark campaign determinism, serialization, and summary bounds."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import cfslv.bench
 from cfslv.bench import (
     BenchConfig,
     CSV_FIELDS,
@@ -67,6 +69,20 @@ def test_run_trial_without_oracle_leaves_optional_fields_empty():
     rec, _ = run_trial(cfg, 0)
     assert rec.f_oracle is None and rec.match is None
     assert rec.elapsed_oracle_s == 0.0
+
+
+def test_run_trial_without_oracle_builds_no_single_gram(monkeypatch):
+    cfg = BenchConfig(mode="single", trials=1, n_range=(2, 5),
+                      power_range=(0.5, 5.0), seed=13)
+    expected, expected_cand = run_trial(cfg, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram matrix is built without an oracle")
+
+    monkeypatch.setattr(cfslv.bench, "build_gram_single", refuse)
+    rec, cand = run_trial(cfg, 3)
+    assert cand == expected_cand
+    assert dataclasses.replace(rec, elapsed_alg_s=0.0) == dataclasses.replace(expected, elapsed_alg_s=0.0)
 
 
 def test_run_trial_mimo_mode():

@@ -27,21 +27,21 @@ def test_vertex_set_rank_one():
     verts = vertex_set(rank_one_dec(), np.sqrt(3.0))
     # both coordinate subsets give the same line positions c * 5 / sqrt(2)
     expected = sorted(c * 5.0 / np.sqrt(2.0) for c in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5))
-    assert len(verts) == 6
-    assert np.allclose(verts.points[:, 0], expected)
+    assert verts.shape[0] == 6
+    assert np.allclose(verts[:, 0], expected)
 
 
 def test_vertex_set_skips_zero_rows():
     dec = DpkDecomposition(d=np.array([4.0, 4.0]), v=np.array([[np.sqrt(3.0)], [0.0]]))
     verts = vertex_set(dec, 1.0)
     # only the first coordinate contributes: c * 4 / sqrt(3), c in {+-.5, +-1.5}
-    assert len(verts) == 4
+    assert verts.shape[0] == 4
 
 
 def test_vertex_set_square_case():
     dec = DpkDecomposition(d=np.array([2.0]), v=np.array([[1.0]]))
     verts = vertex_set(dec, 1.0)
-    assert sorted(verts.points[:, 0].tolist()) == [-3.0, -1.0, 1.0, 3.0]
+    assert sorted(verts[:, 0].tolist()) == [-3.0, -1.0, 1.0, 3.0]
 
 
 def test_vertex_set_budget_error():

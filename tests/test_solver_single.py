@@ -1,61 +1,26 @@
-"""Breakpoint construction and the single-antenna exact solver."""
+"""The single-antenna exact solver: crossing sweep, counts and witness."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cfslv.core import quadratic_form
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import build_gram_single, dpk_from_single
 from cfslv.oracle import brute_force_slv, certification_radius
-from cfslv.solver_single import breakpoints, solve_single
-
-
-def test_breakpoints_unit_channel():
-    bset = breakpoints([1.0, 1.0], np.sqrt(5.0))
-    assert bset.points.tolist() == [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5]
-
-
-def test_breakpoints_zero_channel_empty():
-    assert len(breakpoints([0.0, 0.0], 1.0)) == 0
-
-
-def test_breakpoints_scaled_channel():
-    bset = breakpoints([2.0], 1.0)
-    assert bset.points.tolist() == [-0.75, -0.25, 0.25, 0.75]
-
-
-def test_breakpoints_rejects_small_psi():
-    with pytest.raises(ValueError):
-        breakpoints([1.0], 0.5)
-
-
-@settings(max_examples=100)
-@given(
-    st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=6),
-    st.floats(1.0, 40.0),
-)
-def test_breakpoints_sorted_and_bounded(entries, psi):
-    h = np.array(entries)
-    bset = breakpoints(h, psi)
-    pts = bset.points
-    assert np.all(np.diff(pts) > 0.0)
-    assert len(bset) <= h.size * (2 * math.ceil(psi) + 2)
-
-
-def test_breakpoints_merge_duplicates_from_commensurate_gains():
-    # |h| values equal, so the two per-coordinate sets coincide exactly
-    bset = breakpoints([3.0, -3.0], 1.0)
-    assert bset.points.tolist() == [-0.5, -1 / 6, 1 / 6, 0.5]
+from cfslv.solver_single import solve_single
 
 
 def test_solve_hand_computed():
     res = solve_single([1.0, 1.0], 2.0)
     assert res.f_star == 2.0
     assert res.a_star.entries.tolist() == [1, 1]
+    # crossings 0.5, 1.5, 2.5, 3.5 for each coordinate; the three open
+    # intervals between them are scored after the two unit vectors
+    assert res.breakpoint_count == 8
+    assert res.candidates_evaluated == 5
+    assert res.witness_point.tolist() == [1.0]
 
 
 def test_solve_unit_optimum():
@@ -144,6 +109,55 @@ def test_non_unit_optimum_has_generating_interval():
                 left, right = right, left
             lo, hi = max(lo, left), min(hi, right)
         assert lo < hi, f"empty interval for a*={a.tolist()}, h={h.tolist()}"
+        checked += 1
+    assert checked >= 20
+
+
+ADVERSARIAL = [
+    # commensurate gains: crossings of different coordinates coincide
+    ((3.0, -3.0), 1.0),
+    ((3.0, -3.0), 10.0),
+    ((1.0, 1.0, 2.0), 2.0),
+    ((1.0, 1.0, 2.0), 20.0),
+    ((0.5, 1.0, 1.5), 3.0),
+    ((0.5, 1.0, 1.5), 30.0),
+    # zero entries contribute no crossings
+    ((0.0, 1.5, 0.0, -2.0), 5.0),
+    # wide dynamic range and a gain whose crossings are near the float limit
+    ((1e-6, 1e3, 2.0), 5.0),
+    ((1e-300, 1.0), 7.0),
+    # high power
+    ((1.0, 0.7), 1e3),
+    ((1.0, -1.0), 1e3),
+    ((0.3, -1.1, 0.5), 1e3),
+]
+
+
+@pytest.mark.parametrize("h, power", ADVERSARIAL)
+def test_adversarial_channels_match_oracle(h, power, box_minimum):
+    h = np.array(h)
+    res = solve_single(h, power)
+    gram = build_gram_single(h, power)
+    radius = certification_radius(gram, res.f_star)
+    oracle = brute_force_slv(gram, radius)
+    assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+    if h.size <= 3:
+        box_f, _ = box_minimum(gram.entries, math.ceil(radius), radius)
+        assert abs(res.f_star - box_f) <= 1e-9 * max(1.0, box_f)
+
+
+def test_witness_rounds_to_optimum():
+    rng = np.random.default_rng(67)
+    checked = 0
+    channels = [rng.standard_normal(int(rng.integers(2, 7))) for _ in range(200)]
+    for h in channels + [np.array(h) for h, _ in ADVERSARIAL]:
+        power = float(rng.uniform(0.5, 20.0))
+        res = solve_single(h, power)
+        a = res.a_star.entries
+        if np.abs(a).sum() == 1:
+            assert res.witness_point is None
+            continue
+        assert np.array_equal(np.floor(res.witness_point[0] * h + 0.5), a)
         checked += 1
     assert checked >= 20
 
