@@ -1,10 +1,11 @@
 """Exhaustive reference search over integer vectors in a norm ball.
 
-Independent of the fast solvers: enumerates every canonical-sign
-integer vector with |a| <= radius by depth-first extension, pruning
-with the partial squared norm, and scores complete vectors with an
-incrementally maintained quadratic form.  Used to certify solver
-outputs and as the ground truth in benchmark campaigns.
+Independent of the fast solvers: finds the exact minimum of a^T G a
+over canonical-sign integer vectors with |a| <= radius.  A unit vector
+lies in the ball, so only points with f(a) <= min_j G_jj can win; a
+depth-first Fincke-Pohst search visits just those points of the ball.
+Used to certify solver outputs and as the ground truth in benchmark
+campaigns.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .core import CoefficientVector, SolverResult, as_gram_matrix, quad_objectiv
 from .errors import ResourceBudgetError
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
-_CHUNK_ELEMENTS = 1 << 20
-# keeps boundary points in despite float rounding in the partial norms
-_RADIUS_SLACK = 1e-9
+# keeps boundary points in despite float rounding in the partial sums
+_SLACK = 1e-9
 
 
 def ball_point_estimate(n: int, radius: float) -> float:
@@ -53,76 +53,72 @@ def certification_radius(g, f_value: float) -> float:
     return max(1.0, math.sqrt(f_value / lam_min) * (1.0 + 1e-9))
 
 
-class _BallSearch:
-    """Depth-first enumeration state for one brute-force call."""
+def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | None, int]:
+    """First minimiser over ball and ellipsoid, and the number of points scored.
 
-    def __init__(self, g_arr: np.ndarray, radius: float) -> None:
-        self.g = g_arr
-        self.n = g_arr.shape[0]
-        self.r2 = radius * radius
-        self.chunk_rows = max(1, _CHUNK_ELEMENTS // self.n)
-        self.best_f = math.inf
-        self.best_a: np.ndarray | None = None
-        self.evaluated = 0
-
-    def run(self) -> None:
-        n = self.n
-        self._grow(
-            prefix=np.zeros((1, 0), dtype=np.int64),
-            sq=np.zeros(1),
-            zero=np.ones(1, dtype=bool),
-            cross=np.zeros((1, n)),
-            partial=np.zeros(1),
-            depth=0,
-        )
-
-    def _grow(self, prefix, sq, zero, cross, partial, depth) -> None:
-        # children of row i take values lo[i]..hi[i] in coordinate `depth`;
+    Coordinates are fixed 0..n-1, values ascending, and each point is
+    scored as partial + v (2 (G a)_d + G_dd v) from its prefix.
+    """
+    n = g_arr.shape[0]
+    g = g_arr.tolist()
+    r2 = radius * radius
+    # a unit vector is in the ball, so every minimiser has f(a) <= min_j G_jj
+    limit = float(g_arr.diagonal().min()) * (1.0 + _SLACK)
+    try:
+        # G = R^T R with R lower triangular: rows i < d of |R a|^2 depend
+        # on a_0..a_{d-1} only, so they bound f from below
+        r = np.linalg.cholesky(g_arr[::-1, ::-1])[::-1, ::-1].T
+        r_dd = r.diagonal()
+        q = (r_dd * r_dd).tolist()
+        m = (r / r_dd[:, None]).tolist()
+    except np.linalg.LinAlgError:
+        limit, q, m = math.inf, [1.0] * n, [[0.0] * n for _ in range(n)]
+    a, top = [0] * n, [0] * n
+    cross = [0.0] * n  # (G a)_d over the prefix a_0..a_{d-1}
+    centre = [0.0] * n  # -sum_{j<d} M_dj a_j, M = R with unit diagonal
+    partial = [0.0] * n  # f of the prefix
+    lower = [0.0] * n  # rows i < d of |R a|^2
+    sq = [0] * n  # |prefix|^2
+    nonzero: list[int] = []  # depths of the nonzero prefix entries
+    best_f, best_a, evaluated = math.inf, None, 0
+    d = 0
+    while True:
+        s = c = 0.0
+        for j in nonzero:
+            s += a[j] * g[j][d]
+            c -= a[j] * m[d][j]
+        rem = r2 - sq[d]
+        ball = math.floor(math.sqrt(rem) + _SLACK) if rem > 0.0 else 0
+        rem = limit - lower[d]
+        width = math.sqrt(rem / q[d]) * (1.0 + _SLACK) if rem > 0.0 else 0.0
         # the first nonzero coordinate is forced positive (canonical sign)
-        rem = np.maximum(self.r2 - sq, 0.0)
-        hi = np.floor(np.sqrt(rem) + _RADIUS_SLACK).astype(np.int64)
-        lo = np.where(zero, 0, -hi)
-        counts = hi - lo + 1
-        total = np.cumsum(counts)
-        start = 0
-        while start < counts.size:
-            base = total[start - 1] if start > 0 else 0
-            stop = int(np.searchsorted(total, base + self.chunk_rows, side="left")) + 1
-            stop = min(stop, counts.size)
-            self._expand_rows(
-                prefix, sq, zero, cross, partial, depth,
-                start, stop, lo, counts, total, base,
-            )
-            start = stop
-
-    def _expand_rows(
-        self, prefix, sq, zero, cross, partial, depth,
-        start, stop, lo, counts, total, base,
-    ) -> None:
-        g = self.g
-        counts_g = counts[start:stop]
-        starts_g = total[start:stop] - counts_g - base
-        rows = int(total[stop - 1] - base)
-        idx = np.repeat(np.arange(start, stop), counts_g)
-        vals = lo[idx] + (np.arange(rows) - np.repeat(starts_g, counts_g))
-        t_col = cross[idx, depth]
-        f_child = partial[idx] + vals * (2.0 * t_col + g[depth, depth] * vals)
-        if depth == self.n - 1:
-            live = ~(zero[idx] & (vals == 0))
-            self.evaluated += int(np.count_nonzero(live))
-            if not live.any():
-                return
-            live_idx = np.flatnonzero(live)
-            j = live_idx[int(np.argmin(f_child[live_idx]))]
-            if f_child[j] < self.best_f:
-                self.best_f = float(f_child[j])
-                self.best_a = np.append(prefix[idx[j]], vals[j])
-            return
-        child_prefix = np.concatenate([prefix[idx], vals[:, None]], axis=1)
-        child_sq = sq[idx] + (vals * vals).astype(float)
-        child_zero = zero[idx] & (vals == 0)
-        child_cross = cross[idx] + vals[:, None] * g[depth][None, :]
-        self._grow(child_prefix, child_sq, child_zero, child_cross, f_child, depth + 1)
+        least = -ball if nonzero else 0
+        lo = math.ceil(c - width) if c - width > least else least
+        hi = ball if c + width > ball else math.floor(c + width)
+        if d < n - 1:
+            a[d], top[d], cross[d], centre[d] = lo - 1, hi, s, c
+        else:
+            for v in range(lo, hi + 1):
+                if v or nonzero:
+                    evaluated += 1
+                    f = partial[d] + v * (2.0 * s + g[d][d] * v)
+                    if f < best_f:
+                        best_f, best_a = f, a[:d] + [v]
+            d -= 1
+        while d >= 0 and a[d] >= top[d]:
+            d -= 1
+        if d < 0:
+            return best_a, evaluated
+        while nonzero and nonzero[-1] >= d:
+            nonzero.pop()
+        v = a[d] = a[d] + 1
+        x = v - centre[d]
+        lower[d + 1] = lower[d] + q[d] * x * x
+        partial[d + 1] = partial[d] + v * (2.0 * cross[d] + g[d][d] * v)
+        sq[d + 1] = sq[d] + v * v
+        if v:
+            nonzero.append(d)
+        d += 1
 
 
 def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUDGET) -> SolverResult:
@@ -130,9 +126,12 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
 
     Only canonical-sign representatives (first nonzero entry positive)
     are enumerated, which halves the work without losing any objective
-    value.  Ties keep the first vector in enumeration order, so the
-    result is deterministic.  Raises ResourceBudgetError when the
-    estimated point count exceeds budget.
+    value, and only those in the ellipsoid f(a) <= min_j G_jj, which
+    holds every minimiser; candidates_evaluated counts the points of
+    ball and ellipsoid that were scored.  Ties keep the first vector in
+    lexicographic order, so the result is deterministic.  Raises
+    ResourceBudgetError when the ball's estimated point count, an
+    upper bound on that work, exceeds budget.
     """
     t0 = time.perf_counter()
     g = as_gram_matrix(g)
@@ -144,15 +143,14 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
         raise ResourceBudgetError(
             f"estimated {estimate:.3e} candidates exceeds budget {budget}"
         )
-    search = _BallSearch(g.entries, radius)
-    search.run()
-    if search.best_a is None:
+    best_a, evaluated = _ellipsoid_search(g.entries, radius)
+    if best_a is None:
         raise AssertionError("radius >= 1 guarantees at least one candidate")
-    a = CoefficientVector(search.best_a)
+    a = CoefficientVector(best_a)
     return SolverResult(
         a_star=a,
         f_star=quad_objective(g.entries, a.entries),
-        candidates_evaluated=search.evaluated,
+        candidates_evaluated=evaluated,
         breakpoint_count=0,
         elapsed_seconds=time.perf_counter() - t0,
         witness_point=None,

@@ -38,14 +38,18 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     crossings (c + 1/2) / |h_j|, c = 0..ceil(psi), keeping the strictly
     best objective (ties resolve to the smallest x, and a unit vector
     wins any tie).  Raises ResourceBudgetError if the worst-case
-    breakpoint count n * (2 ceil(psi) + 2) exceeds budget.
+    breakpoint count n * (2 ceil(psi) + 2) exceeds budget, and
+    ValueError if 1 + P|h|^2 overflows a float.
     """
     t0 = time.perf_counter()
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries
     n = h.n
-    scale = 1.0 + power * float(hv @ hv)
+    with np.errstate(over="ignore"):
+        scale = 1.0 + power * float(hv @ hv)
+    if not math.isfinite(scale):
+        raise ValueError("1 + P|h|^2 overflows a float; scale the channel or the power down")
     g_arr = scale * np.eye(n) - power * np.outer(hv, hv)
 
     diag = np.diag(g_arr)

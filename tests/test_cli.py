@@ -130,6 +130,14 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_overflowing_channel_is_input_error(capsys):
+    code, out, err = run_cli(["solve", "--h", "1e200,1", "--power", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_bench_stdout_report(capsys):
     code, out, err = run_cli(
         ["bench", "--trials", "3", "--n-range", "2:3", "--power-range", "1:2",

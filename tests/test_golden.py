@@ -1,7 +1,8 @@
-"""Solver outputs pinned in tests/data/golden_a_star.json.
+"""Solver and oracle outputs pinned in tests/data/golden_a_star.json.
 
 The file was written by tests/data/make_golden_a_star.py; a solver
-rewrite must return the same canonical a_star on every instance.
+or oracle rewrite must return the same canonical a_star on every
+instance.
 """
 
 import json
@@ -9,11 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
-from cfslv.gram import MimoChannel, build_gram_mimo
+from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
+from cfslv.oracle import brute_force_slv, certification_radius
 from cfslv.solver_dpk import solve_dpk
 from cfslv.solver_single import solve_single
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_a_star.json").read_text())["instances"]
+
+# exact ties f([1,0]) == f([0,1]): the solver keeps the best unit vector,
+# the oracle the first vector in its enumeration order
+ORACLE_TIES = {("single-commensurate", 2000): [0, 1], ("single-commensurate", 2035): [0, 1]}
 
 
 def _floats(value):
@@ -22,18 +28,37 @@ def _floats(value):
     return float.fromhex(value)
 
 
-def test_golden_a_star():
+def _mismatches(result_for, ties):
     mismatches = []
     for row in GOLDEN:
         h = np.array(_floats(row["h"]))
-        power = float.fromhex(row["power"])
-        if h.ndim == 1:
-            res = solve_single(h, power)
-        else:
-            res = solve_dpk(*build_gram_mimo(MimoChannel(h_matrix=h, power=power)))
         f_star = float.fromhex(row["f_star"])
-        if (res.a_star.entries.tolist() != row["a_star"]
+        res = result_for(h, float.fromhex(row["power"]), f_star)
+        expected = ties.get((row["kind"], row["seed"]), row["a_star"])
+        if (res.a_star.entries.tolist() != expected
                 or abs(res.f_star - f_star) > 1e-12 * abs(f_star)):
-            mismatches.append((row["kind"], row["seed"], res.a_star.entries.tolist(), row["a_star"]))
+            mismatches.append((row["kind"], row["seed"], res.a_star.entries.tolist(), expected))
+    return mismatches
+
+
+def _solver(h, power, _f_star):
+    if h.ndim == 1:
+        return solve_single(h, power)
+    return solve_dpk(*build_gram_mimo(MimoChannel(h_matrix=h, power=power)))
+
+
+def _oracle(h, power, f_star):
+    if h.ndim == 1:
+        gram = build_gram_single(h, power)
+    else:
+        gram = build_gram_mimo(MimoChannel(h_matrix=h, power=power))[0]
+    return brute_force_slv(gram, certification_radius(gram, f_star))
+
+
+def test_golden_a_star():
     assert len(GOLDEN) == 160
-    assert not mismatches
+    assert not _mismatches(_solver, {})
+
+
+def test_golden_oracle():
+    assert not _mismatches(_oracle, ORACLE_TIES)

@@ -5,7 +5,7 @@ import pytest
 
 from cfslv.core import GramMatrix
 from cfslv.errors import ResourceBudgetError
-from cfslv.gram import build_gram_single
+from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
 from cfslv.oracle import ball_point_estimate, brute_force_slv, certification_radius
 
 
@@ -67,9 +67,73 @@ def test_result_is_canonical_and_deterministic():
 
 
 def test_candidate_count_small_identity():
-    # canonical vectors with norm <= sqrt(2): (0,1), (1,-1), (1,0), (1,1)
+    # of the canonical vectors with norm <= sqrt(2), only (0,1) and (1,0)
+    # have f(a) <= min_j G_jj = 1; (1,-1) and (1,1) are pruned
     res = brute_force_slv(GramMatrix(np.eye(2)), np.sqrt(2.0))
-    assert res.candidates_evaluated == 4
+    assert res.candidates_evaluated == 2
+
+
+def test_ball_binds_inside_the_ellipsoid():
+    # (1,1) has f = 2 < 3 but lies outside the ball of radius 1.2
+    res = brute_force_slv(GramMatrix(np.array([[3.0, -2.0], [-2.0, 3.0]])), 1.2)
+    assert res.a_star.entries.tolist() == [0, 1]
+    assert res.f_star == 3.0
+    assert res.candidates_evaluated == 2
+
+
+def test_tiny_diagonal_entry():
+    res = brute_force_slv(GramMatrix(np.diag([1.0, 1e-13])), 3.0)
+    assert res.a_star.entries.tolist() == [0, 1]
+    assert res.f_star == 1e-13
+
+
+def test_ball_only_when_cholesky_fails():
+    # eigvalsh finds lambda_min > 0, but LAPACK's Cholesky of the reversed
+    # matrix breaks down, so every canonical point of the ball is scored
+    g = GramMatrix(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(g.entries[::-1, ::-1])
+    res = brute_force_slv(g, 2.0)
+    assert res.a_star.entries.tolist() == [1, -1]
+    assert res.f_star == 2.0**-52
+    assert res.candidates_evaluated == 6
+
+
+def test_deep_search_needs_no_recursion():
+    n = 1500
+    res = brute_force_slv(GramMatrix(np.eye(n)), 1.0)
+    assert res.a_star.entries.tolist() == [0] * (n - 1) + [1]
+    assert res.candidates_evaluated == n
+
+
+def _adversarial_grams():
+    rng = np.random.default_rng(37)
+    for h, power in [
+        ((1.0, 0.5), 1e3), ((0.3, -0.2, 0.9), 1e3),    # high power
+        ((3.0, -3.0), 2.0), ((1.0, 1.0, 2.0), 5.0),    # commensurate gains
+        ((0.5, 1.0, 1.5), 7.0), ((2.0, -4.0, 6.0), 0.5),
+        ((1.0, 1.0 + 1e-10), 20.0), ((0.7, -0.7 * (1 + 1e-12), 0.7), 9.0),  # near-equal
+        ((0.0, 1.5), 4.0), ((0.0, 1.2, -0.8), 6.0), ((0.0, 0.0, 1.0), 3.0),  # zero entries
+        ((1e-4, 1e2), 1e-3), ((1e-4, 0.3, 1e2), 1.0), ((1e2, -1e-2, 1.0), 0.05),  # 1e-4..1e2
+    ]:
+        yield build_gram_single(np.array(h), power)
+    for n, power in [(2, 3.0), (3, 10.0), (3, 0.5)]:
+        # rank-deficient MIMO: two equal columns of H
+        col = rng.standard_normal(n)
+        yield build_gram_mimo(MimoChannel(h_matrix=np.column_stack([col, col]), power=power))[0]
+
+
+def test_adversarial_instances_match_naive_ball_enumeration(box_minimum):
+    for g in _adversarial_grams():
+        f0 = float(np.min(np.diag(g.entries)))
+        # at least 3, so that the ellipsoid and not the ball prunes the small cases
+        radius = min(max(certification_radius(g, f0), 3.0), 12.0)
+        res = brute_force_slv(g, radius)
+        naive_f, _ = box_minimum(g.entries, int(np.floor(radius + 1e-9)), radius=radius)
+        assert abs(res.f_star - naive_f) <= 1e-12 * max(1.0, naive_f)
+        a = res.a_star.entries
+        assert float(a @ a) <= radius * radius + 1e-9
+        assert a[np.flatnonzero(a)[0]] > 0
 
 
 def test_rejects_small_radius():
