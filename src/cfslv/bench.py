@@ -200,17 +200,20 @@ def summarize(records: list[TrialRecord], candidates: list[int]) -> dict:
     }
 
 
-def summary_line(summary: dict) -> str:
+def summary_line(summary: dict, zero_timing: bool = False) -> str:
+    """One-line campaign summary; zero_timing prints the mean times as 0."""
     rate = summary["match_rate"]
     rate_text = "n/a" if rate is None else format(rate, ".6f")
+    alg_s, oracle_s = (0.0, 0.0) if zero_timing else (
+        summary["mean_elapsed_alg_s"], summary["mean_elapsed_oracle_s"])
     return (
         f"trials={summary['trials']}"
         f" certified={summary['certified']}"
         f" matched={summary['matched']}"
         f" match_rate={rate_text}"
         f" mean_candidates={format(summary['mean_candidates'], '.6g')}"
-        f" mean_elapsed_alg_s={format(summary['mean_elapsed_alg_s'], '.6g')}"
-        f" mean_elapsed_oracle_s={format(summary['mean_elapsed_oracle_s'], '.6g')}"
+        f" mean_elapsed_alg_s={format(alg_s, '.6g')}"
+        f" mean_elapsed_oracle_s={format(oracle_s, '.6g')}"
     )
 
 

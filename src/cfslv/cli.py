@@ -196,13 +196,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     result = run_bench(config)
     render = render_json if args.format == "json" else render_csv
     report = render(result.records, zero_timing=args.no_timing)
+    summary = summary_line(result.summary, zero_timing=args.no_timing)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(report)
-        print(summary_line(result.summary))
+        print(summary)
     else:
         sys.stdout.write(report)
-        print(summary_line(result.summary), file=sys.stderr)
+        print(summary, file=sys.stderr)
     return EXIT_MISMATCH if any_mismatch(result.records) else EXIT_OK
 
 

@@ -148,8 +148,10 @@ class SolverResult:
 
     f_star is the objective recomputed from scratch at a_star, so it is
     reproducible independent of any incremental arithmetic used during
-    the search.  witness_point is the real point whose coordinate-wise
-    rounding produced a_star (None when a unit vector won outright).
+    the search.  witness_point is a real point that certifies a_star
+    (None when a unit vector won outright): for solve_single a point
+    whose coordinate-wise rounding is a_star, for solve_dpk a vertex x
+    of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2 entrywise.
     """
 
     a_star: CoefficientVector

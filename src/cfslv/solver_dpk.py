@@ -1,11 +1,15 @@
 """Exact solver for diagonal-minus-rank-k Gram matrices.
 
 When G = diag(d) - V V^T, every optimal integer vector is either a
-signed unit vector or the coordinate-wise rounding of diag(d)^-1 V x
-for some x in R^k.  The rounding pattern of that map is constant on the
-cells of a hyperplane arrangement, and every cell within the norm bound
-contains the average of some k+1 of the arrangement's vertices, so
-enumerating those averages visits every pattern that can matter.
+signed unit vector or a coordinate-wise rounding of R x, R =
+diag(d)^-1 V, for some x in R^k.  The rounding pattern of that map is
+constant on the cells of the arrangement of hyperplanes r_i x = c,
+c a half-integer.  The rows of R span R^k, so every cell is pointed and
+touches a vertex, and the cell of an optimum within the norm bound
+touches a vertex with |c| <= ceil(psi) + 1/2.  The solver therefore
+scores the rounded cells at each vertex: rows that pass through the
+vertex round down or up, one choice per direction, and every other row
+rounds to nearest.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .gram import search_radius_psi, validate_dpk
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
-_CHUNK_ROWS = 1 << 20
+TIGHT_RTOL = 1e-8
+PARALLEL_TOL = 1e-9
 
 
 def vertex_set(dec: DpkDecomposition, psi: float, *,
@@ -41,10 +46,12 @@ def vertex_set(dec: DpkDecomposition, psi: float, *,
     Every size-k row subset pi whose submatrix is nonsingular is paired
     with every vector c of half-integers bounded by ceil(psi) + 1/2.
     Singular subsets (singular value ratio at or below 1e-10) are
-    skipped.  Points closer than 1e-9 in Euclidean distance to their
-    sorted predecessor are merged.  Returns the lexicographically sorted
-    vertices as a read-only (m, k) array.  Raises ResourceBudgetError if
-    the solve count C(n,k) * (2 ceil(psi) + 2)^k exceeds budget.
+    skipped.  Vertices are sorted lexicographically on their coordinates
+    rounded to multiples of 1e-9, ties by the exact coordinates, and a
+    point closer than 1e-9 in Euclidean distance to its predecessor in
+    that order is merged into it.  Returns the sorted vertices as a
+    read-only (m, k) array.  Raises ResourceBudgetError if the solve
+    count C(n,k) * (2 ceil(psi) + 2)^k exceeds budget.
     """
     if not isinstance(dec, DpkDecomposition):
         raise ValueError("expected a DpkDecomposition")
@@ -63,52 +70,72 @@ def vertex_set(dec: DpkDecomposition, psi: float, *,
         )
     rhs = np.stack(np.meshgrid(*([cs] * k), indexing="ij"), axis=-1).reshape(-1, k)
     ratios = dec.v / dec.d[:, None]
-    found = []
-    for rows in itertools.combinations(range(n), k):
-        sub = ratios[list(rows), :]
-        sv = np.linalg.svd(sub, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:
-            continue
-        found.append(np.linalg.solve(sub, rhs.T).T)
-    if not found:
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    subs = ratios[subsets]
+    sv = np.linalg.svd(subs, compute_uv=False)
+    subs = subs[(sv[:, 0] != 0.0) & (sv[:, -1] > RANK_SV_RTOL * sv[:, 0])]
+    if subs.shape[0] == 0:
         return _freeze(np.empty((0, k)))
-    pts = np.vstack(found)
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
+    pts = np.linalg.solve(subs, rhs.T).swapaxes(1, 2).reshape(-1, k)
+    # sort on the 1e-9 grid first, so rounding noise in one coordinate
+    # cannot separate two copies of a vertex in the sorted order
+    snapped = np.round(pts / VERTEX_DEDUP_TOL)
+    pts = pts[np.lexsort(np.vstack([pts.T[::-1], snapped.T[::-1]]))]
     gaps = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
     keep = np.concatenate([[True], gaps > VERTEX_DEDUP_TOL])
     return _freeze(pts[keep])
 
 
-def _mean_chunks(pts: np.ndarray, size: int):
-    """Yield row chunks of the averages of all sorted index subsets.
+def _directions(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direction index of each row of ratios and whether it is reversed.
 
-    Subsets are visited in lexicographic order of their index tuples,
-    so concatenating the chunks is a fixed, deterministic sequence.
+    Each unit row is signed so that its largest entry is positive (the
+    row is reversed when that takes a sign change); rows whose signed
+    unit vectors round to the same multiple of 1e-9 share an index.
+    Zero rows share one index of their own.
     """
-    m = pts.shape[0]
-    if m < size:
-        return
-    if size == 2:
-        for i in range(m - 1):
-            block = 0.5 * (pts[i] + pts[i + 1 :])
-            for s in range(0, block.shape[0], _CHUNK_ROWS):
-                yield block[s : s + _CHUNK_ROWS]
-    elif size == 3:
-        j, l = np.triu_indices(m, 1)
-        first = np.searchsorted(j, np.arange(m), side="left")
-        for i in range(m - 2):
-            s0 = first[i + 1]
-            block = (pts[i] + pts[j[s0:]] + pts[l[s0:]]) / 3.0
-            for s in range(0, block.shape[0], _CHUNK_ROWS):
-                yield block[s : s + _CHUNK_ROWS]
-    else:
-        for head in itertools.combinations(range(m), size - 1):
-            tail = np.arange(head[-1] + 1, m)
-            if tail.size == 0:
-                continue
-            block = (pts[list(head)].sum(axis=0) + pts[tail]) / float(size)
-            yield block
+    norms = np.linalg.norm(ratios, axis=1, keepdims=True)
+    unit = ratios / np.where(norms > 0.0, norms, 1.0)
+    lead = np.take_along_axis(unit, np.argmax(np.abs(unit), axis=1)[:, None], axis=1)
+    reversed_ = lead[:, 0] < 0.0
+    key = np.round(np.where(lead < 0.0, -unit, unit) / PARALLEL_TOL)
+    order = np.lexsort(key.T)
+    key = key[order]
+    direction = np.empty(key.shape[0], dtype=np.intp)
+    direction[order] = np.cumsum(np.r_[True, np.any(key[1:] != key[:-1], axis=1)]) - 1
+    return direction, reversed_
+
+
+def _vertex_cells(verts: np.ndarray, ratios: np.ndarray,
+                  budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Roundings of R x over the cells incident to each vertex x.
+
+    A row is tight at x when r_i x lies within 1e-8 (1 + |r_i| |x|) of a
+    half-integer; it takes floor(r_i x) or floor(r_i x) + 1.  Tight rows
+    of one direction take one choice together (reversed rows the
+    opposite one), so a vertex with t tight directions yields 2^t
+    candidates, in vertex order.  Every other row rounds to nearest.
+    Returns the candidates and the index of the vertex of each.  Raises
+    ResourceBudgetError if more than budget candidates would be built.
+    """
+    y = verts @ ratios.T
+    low = np.floor(y)
+    scale = 1.0 + np.outer(np.linalg.norm(verts, axis=1), np.linalg.norm(ratios, axis=1))
+    tight = np.abs(y - low - 0.5) <= TIGHT_RTOL * scale
+    direction, reversed_ = _directions(ratios)
+    hit = tight @ (direction[:, None] == np.arange(direction.max() + 1))
+    bit_of_direction = np.cumsum(hit, axis=1) - 1
+    n_tight = hit.sum(axis=1)
+    total = sum(int(c) << t for t, c in enumerate(np.bincount(n_tight)))
+    if budget is not None and total > budget:
+        raise ResourceBudgetError(f"{total} vertex cells exceed budget {budget}")
+    per_vertex = np.left_shift(1, n_tight)
+    owner = np.repeat(np.arange(verts.shape[0]), per_vertex)
+    pattern = np.arange(total) - np.repeat(np.cumsum(per_vertex) - per_vertex, per_vertex)
+    bit_of_row = np.maximum(bit_of_direction[:, direction], 0)[owner]
+    up = ((pattern[:, None] >> bit_of_row) & 1).astype(bool) ^ reversed_
+    base = np.where(tight, low, np.floor(y + 0.5))[owner]
+    return base + (up & tight[owner]), owner
 
 
 def solve_dpk(g, dec: DpkDecomposition | None, *,
@@ -117,11 +144,13 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
 
     dec must reproduce g to a 1e-9 relative tolerance (checked).  A
     None decomposition is accepted only for diagonal g, where the best
-    unit vector is already optimal.  Candidates are the roundings of
-    diag(d)^-1 V x over all (k+1)-vertex averages x; ties keep the
-    earliest candidate, so the unit-vector initializer wins ties.
-    Raises ResourceBudgetError if the number of vertex subsets
-    C(#vertices, k+1) exceeds budget.
+    unit vector is already optimal.  Candidates are the rounded cells
+    at each arrangement vertex (see _vertex_cells); ties keep the
+    earliest candidate, so the unit-vector initializer wins ties.  The
+    witness is the vertex of a_star's closed cell that produced it, so
+    |diag(d)^-1 V x - a_star| <= 1/2 entrywise.  Raises
+    ResourceBudgetError if the number of vertex subsets C(#vertices,
+    k+1) or the number of candidates exceeds budget.
     """
     t0 = time.perf_counter()
     g = as_gram_matrix(g)
@@ -151,28 +180,26 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         psi = max(1.0, search_radius_psi(g))
         verts = vertex_set(dec, psi, budget=budget)
         vertex_count = verts.shape[0]
+        # C(#vertices, k+1) no longer measures the work (the candidate
+        # count in _vertex_cells does); it still refuses the instances
+        # it refused when every (k+1)-subset of vertices was scored
         k = dec.k
         n_groups = math.comb(vertex_count, k + 1)
         if budget is not None and n_groups > budget:
             raise ResourceBudgetError(
                 f"{n_groups} vertex groups of size {k + 1} exceed budget {budget}"
             )
-        ratios = dec.v / dec.d[:, None]
-        for block in _mean_chunks(verts, k + 1):
-            cand = np.floor(block @ ratios.T + 0.5)
-            nonzero = np.any(cand != 0.0, axis=1)
-            if not nonzero.all():
-                cand = cand[nonzero]
-                block = block[nonzero]
-            if cand.shape[0] == 0:
-                continue
-            candidates += cand.shape[0]
-            f = np.einsum("ij,jk,ik->i", cand, g_arr, cand)
+        cand, owner = _vertex_cells(verts, dec.v / dec.d[:, None], budget)
+        candidates += cand.shape[0]
+        f = np.einsum("ij,jk,ik->i", cand, g_arr, cand)
+        # a cell next to the origin rounds to zero, which is no candidate
+        f[~cand.any(axis=1)] = np.inf
+        if f.size:
             j = int(np.argmin(f))
             if f[j] < best_f:
                 best_f = float(f[j])
                 best_a = cand[j].astype(np.int64)
-                best_x = block[j].copy()
+                best_x = verts[owner[j]]
 
     result = canonical_sign(CoefficientVector(best_a))
     if best_x is not None and not np.array_equal(result.entries, best_a):

@@ -163,6 +163,15 @@ def test_bench_oracle_exit_and_out_file(tmp_path, capsys):
     assert body.endswith("true\n")
 
 
+def test_bench_no_timing_stdout_repeats(tmp_path, capsys):
+    args = ["bench", "--trials", "20", "--n-range", "2:4", "--power-range", "1:2",
+            "--seed", "3", "--oracle", "--no-timing", "--out", str(tmp_path / "x.csv")]
+    first = run_cli(args, capsys)
+    second = run_cli(args, capsys)
+    assert first[0] == 0 and first == second
+    assert "mean_elapsed_alg_s=0 mean_elapsed_oracle_s=0" in first[1]
+
+
 def test_bench_json_format(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(

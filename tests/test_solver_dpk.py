@@ -1,5 +1,6 @@
 """Vertex enumeration and the diagonal-minus-low-rank exact solver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from cfslv.gram import (
     search_radius_psi,
 )
 from cfslv.oracle import brute_force_slv, certification_radius
-from cfslv.solver_dpk import solve_dpk, vertex_set
+from cfslv.solver_dpk import _vertex_cells, solve_dpk, vertex_set
 from cfslv.solver_single import solve_single
 
 
@@ -48,6 +49,32 @@ def test_vertex_set_budget_error():
     dec = rank_one_dec()
     with pytest.raises(ResourceBudgetError):
         vertex_set(dec, 100.0, budget=10)
+
+
+def test_vertex_set_matches_per_subset_solves():
+    rng = np.random.default_rng(61)
+    for n, k, rows in [(6, 1, None), (5, 2, None), (4, 3, None), (4, 2, (0, 1))]:
+        h = rng.standard_normal((n, k))
+        if rows is not None:
+            h[rows[1]] = h[rows[0]]
+        gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=1.5))
+        psi = max(1.0, search_radius_psi(gram))
+        verts = vertex_set(dec, psi)
+        cs = np.arange(-math.ceil(psi) - 0.5, math.ceil(psi) + 1.0)
+        rhs = np.array(list(itertools.product(cs, repeat=k))).T
+        ratios = dec.v / dec.d[:, None]
+        solved = []
+        for subset in itertools.combinations(range(n), k):
+            sub = ratios[list(subset)]
+            sv = np.linalg.svd(sub, compute_uv=False)
+            if sv[-1] > 1e-10 * sv[0]:
+                solved.append(np.linalg.solve(sub, rhs).T)
+        solved = np.vstack(solved)
+        # every vertex is one of the solutions, bit for bit, and every
+        # solution lies within the 1e-9 merge distance of a vertex
+        assert {p.tobytes() for p in verts} <= {p.tobytes() for p in solved}
+        gaps = np.linalg.norm(solved[:, None, :] - verts[None, :, :], axis=2).min(axis=1)
+        assert gaps.max() <= 1e-9
 
 
 def test_solve_matches_single_antenna_solution():
@@ -166,6 +193,20 @@ def test_combination_budget_error():
         solve_dpk(gram, dec, budget=5)
 
 
+def test_candidate_budget_counts_before_building():
+    # three lines of different directions meet at (1/2, 1/2); the fourth
+    # row, opposite to the first, passes through it too
+    verts = np.array([[0.5, 0.5]])
+    ratios = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.0]])
+    cand, owner = _vertex_cells(verts, ratios, budget=8)
+    assert cand.shape[0] == 8 and owner.tolist() == [0] * 8
+    # rows 0 and 3 are antiparallel: one takes its upper neighbour when
+    # the other takes its lower one
+    assert set(map(tuple, cand[:, [0, 3]].tolist())) == {(0.0, 0.0), (1.0, -1.0)}
+    with pytest.raises(ResourceBudgetError):
+        _vertex_cells(verts, ratios, budget=7)
+
+
 def test_deterministic():
     rng = np.random.default_rng(89)
     channel = MimoChannel(h_matrix=rng.standard_normal((4, 2)), power=2.0)
@@ -175,3 +216,100 @@ def test_deterministic():
     assert first.f_star == second.f_star
     assert np.array_equal(first.a_star.entries, second.a_star.entries)
     assert first.candidates_evaluated == second.candidates_evaluated
+
+
+def flip_column(dec, j):
+    v = dec.v.copy()
+    v[:, j] = -v[:, j]
+    return DpkDecomposition(d=dec.d, v=v)
+
+
+def outcome(res):
+    return (res.a_star.entries.tolist(), res.f_star, res.breakpoint_count,
+            res.candidates_evaluated)
+
+
+@pytest.mark.parametrize("draw", ["gaussian", "half-integer"])
+def test_column_signs_do_not_change_the_result(draw):
+    rng = np.random.default_rng(97)
+    checked = 0
+    for trial in range(60):
+        k = 1 + trial % 2
+        n = int(rng.integers(k + 1, 6))
+        if draw == "gaussian":
+            h = rng.standard_normal((n, k))
+        else:
+            h = rng.integers(-3, 4, size=(n, k)) / 2.0
+        gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=float(rng.uniform(0.1, 3.0))))
+        if dec is None:
+            continue
+        base = outcome(solve_dpk(gram, dec, budget=None))
+        for j in range(dec.k):
+            assert outcome(solve_dpk(gram, flip_column(dec, j), budget=None)) == base
+            checked += 1
+    assert checked >= 60
+
+
+def test_equal_gains_stay_within_budget():
+    h = np.ones(24)
+    gram, dec = build_gram_single(h, 2.0), dpk_from_single(h, 2.0)
+    res = solve_dpk(gram, dec)
+    # a_star = 1 scores n = 24; a unit vector scores 1 + 23 P = 47
+    assert res.a_star.entries.tolist() == [1] * 24
+    assert res.candidates_evaluated <= 24 + 2 * res.breakpoint_count
+    oracle = brute_force_slv(gram, certification_radius(gram, res.f_star), budget=None)
+    assert abs(res.f_star - oracle.f_star) <= 1e-9 * oracle.f_star
+
+
+ADVERSARIAL_H = [
+    # rank-deficient: two equal rows of H
+    ((1.0, 0.5), (1.0, 0.5), (-0.3, 2.0)),
+    ((2.0,), (2.0,), (1.0,)),
+    ((0.7, -1.2), (0.7, -1.2), (0.7, -1.2), (1.5, 0.4)),
+    # opposite rows: their hyperplanes coincide and must round oppositely
+    ((1.0, 0.5), (-1.0, -0.5), (0.3, 2.0)),
+    ((2.0,), (-2.0,), (1.0,)),
+    # half-integer entries: many hyperplanes share a vertex
+    ((0.5, 1.0), (-1.5, 0.5), (1.0, 1.0)),
+    ((0.5, 0.5), (0.5, -0.5), (1.5, 0.0)),
+    ((1.5, -0.5), (0.5, 0.5), (-1.0, 1.5), (0.5, 2.0)),
+    ((1.0, 0.5, 0.0), (0.5, -1.0, 0.5), (0.0, 0.5, 1.5), (1.5, 0.0, -0.5)),
+]
+
+
+@pytest.mark.parametrize("power", [0.5, 4.0])
+@pytest.mark.parametrize("rows", ADVERSARIAL_H)
+def test_adversarial_channels_match_oracle(rows, power, box_minimum):
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(rows), power=power))
+    res = solve_dpk(gram, dec, budget=None)
+    radius = certification_radius(gram, res.f_star)
+    oracle = brute_force_slv(gram, radius, budget=None)
+    assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+    if gram.n <= 3:
+        box_f, _ = box_minimum(gram.entries, math.ceil(radius), radius)
+        assert abs(res.f_star - box_f) <= 1e-9 * max(1.0, box_f)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 2), (4, 3)])
+def test_higher_rank_matches_oracle(n, k):
+    rng = np.random.default_rng(101 + 10 * n + k)
+    for _ in range(20):
+        channel = MimoChannel(h_matrix=rng.standard_normal((n, k)),
+                              power=float(np.exp(rng.uniform(np.log(0.1), np.log(5.0)))))
+        gram, dec = build_gram_mimo(channel)
+        res = solve_dpk(gram, dec, budget=None)
+        oracle = brute_force_slv(gram, certification_radius(gram, res.f_star), budget=None)
+        assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+
+
+def test_rank_one_scores_two_cells_per_vertex():
+    rng = np.random.default_rng(103)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        h = rng.standard_normal(n) if rng.uniform() < 0.5 else rng.integers(-2, 3, n) / 2.0
+        if not h.any():
+            continue
+        power = float(rng.uniform(0.1, 20.0))
+        res = solve_dpk(build_gram_single(h, power), dpk_from_single(h, power))
+        # every vertex has one tight direction, whatever the number of tight rows
+        assert res.candidates_evaluated == n + 2 * res.breakpoint_count
