@@ -14,7 +14,6 @@ from .core import (
     SolverResult,
     canonical_sign,
     quadratic_form,
-    round_half_up_vector,
 )
 from .errors import ConvergenceError, ResourceBudgetError
 from .gram import (
@@ -53,7 +52,6 @@ __all__ = [
     "dpk_from_single",
     "quadratic_form",
     "rate_from_objective",
-    "round_half_up_vector",
     "run_bench",
     "run_trial",
     "search_radius_psi",

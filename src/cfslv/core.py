@@ -7,6 +7,7 @@ their invariants once at construction so the solvers can stay lean.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,12 @@ class DpkDecomposition:
     """Diagonal-minus-low-rank form G = diag(d) - V V^T.
 
     d must be strictly positive, V must have full column rank, and the
-    difference must remain positive definite.
+    difference must remain positive definite.  One SVD of W =
+    diag(d)^-1/2 V decides both conditions without forming the n-by-n
+    difference: V has full column rank when W's smallest singular value
+    exceeds 1e-10 times its largest, and diag(d) - V V^T =
+    diag(d)^1/2 (I - W W^T) diag(d)^1/2 is positive definite exactly
+    when W's largest singular value is below 1.
     """
 
     d: np.ndarray
@@ -123,12 +129,10 @@ class DpkDecomposition:
             raise ValueError("decomposition entries must be finite")
         if not np.all(d > 0.0):
             raise ValueError("diagonal entries must be strictly positive")
-        sv = np.linalg.svd(v, compute_uv=False)
+        sv = np.linalg.svd(v / np.sqrt(d)[:, None], compute_uv=False)
         if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:
             raise ValueError("V must have full column rank")
-        m = np.diag(d) - v @ v.T
-        lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
-        if not lam_min > 0.0:
+        if not sv[0] < 1.0:
             raise ValueError("diag(d) - V V^T is not positive definite")
         object.__setattr__(self, "d", _freeze(d))
         object.__setattr__(self, "v", _freeze(v))
@@ -200,18 +204,6 @@ def quadratic_form(g, a) -> float:
     return quad_objective(g.entries, a.entries)
 
 
-def round_half_up_vector(v) -> np.ndarray:
-    """Round each entry to the nearest integer, halves toward +infinity.
-
-    This is floor(v + 0.5) applied elementwise, not banker's rounding:
-    round_half_up_vector([0.5, 1.5, -0.5]) == [1, 2, 0].
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot round non-finite values")
-    return np.floor(v + 0.5).astype(np.int64)
-
-
 def canonical_sign(a) -> CoefficientVector:
     """Flip a to -a if its first nonzero entry is negative.
 
@@ -221,3 +213,32 @@ def canonical_sign(a) -> CoefficientVector:
     a = as_coefficient_vector(a)
     first = a.entries[np.flatnonzero(a.entries)[0]]
     return a if first > 0 else CoefficientVector(-a.entries)
+
+
+def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
+    """The unit vector e_j with the smallest G_jj, as (G_jj, e_j).
+
+    Both solvers start from it; the first j wins a tie.
+    """
+    diag = np.diag(g_entries)
+    j = int(np.argmin(diag))
+    a = np.zeros(diag.size, dtype=np.int64)
+    a[j] = 1
+    return float(diag[j]), a
+
+
+def _solver_result(g_entries: np.ndarray, best_a: np.ndarray, witness: np.ndarray | None,
+                   t0: float, candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
+    """A solver's SolverResult: best_a in canonical sign, the witness
+    negated with it, f_star recomputed on G, elapsed time since t0."""
+    a_star = canonical_sign(CoefficientVector(best_a))
+    if witness is not None and not np.array_equal(a_star.entries, best_a):
+        witness = -witness
+    return SolverResult(
+        a_star=a_star,
+        f_star=quad_objective(g_entries, a_star.entries),
+        candidates_evaluated=candidates_evaluated,
+        breakpoint_count=breakpoint_count,
+        elapsed_seconds=time.perf_counter() - t0,
+        witness_point=witness,
+    )

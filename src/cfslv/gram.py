@@ -28,6 +28,15 @@ DPK_RESIDUAL_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-12
 
 
+def _radius_eigenvalue(g: GramMatrix) -> float:
+    """lambda_min(G) for a search radius; raises ValueError if it is at
+    or below 1e-12 (numerically singular)."""
+    lam_min = g.min_eigenvalue
+    if lam_min <= EIGENVALUE_FLOOR:
+        raise ValueError(f"Gram matrix is numerically singular (lambda_min = {lam_min:.3e})")
+    return lam_min
+
+
 def _check_power(power: float) -> float:
     power = float(power)
     if not (math.isfinite(power) and power > 0.0):
@@ -121,23 +130,24 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     return GramMatrix(g), DpkDecomposition(d=np.ones(n), v=v)
 
 
-def validate_dpk(g, dec: DpkDecomposition, tol: float = DPK_RESIDUAL_TOL) -> bool:
-    """Check that diag(d) - V V^T reproduces G entrywise within tol.
+def validate_dpk(g, dec: DpkDecomposition) -> bool:
+    """Check that diag(d) - V V^T reproduces G entrywise.
 
-    The tolerance is relative to max(1, largest |G| entry).  Returns
-    False on a residual failure; shape mismatches raise.
+    The only place the pair is compared: the difference is formed
+    densely and its largest entrywise deviation from G must be at most
+    1e-9 times max(1, largest |G| entry); returns False otherwise.  A
+    dec that is not a DpkDecomposition, or whose n differs from G's,
+    raises ValueError.
     """
     g = as_gram_matrix(g)
     if not isinstance(dec, DpkDecomposition):
         raise ValueError("expected a DpkDecomposition")
     if dec.n != g.n:
         raise ValueError(f"dimension mismatch: matrix is {g.n}, decomposition is {dec.n}")
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
     recon = np.diag(dec.d) - dec.v @ dec.v.T
     scale = max(1.0, float(np.max(np.abs(g.entries))))
     resid = float(np.max(np.abs(recon - g.entries)))
-    return resid <= tol * scale
+    return resid <= DPK_RESIDUAL_TOL * scale
 
 
 def search_radius_psi(g) -> float:
@@ -149,7 +159,4 @@ def search_radius_psi(g) -> float:
     singular).
     """
     g = as_gram_matrix(g)
-    lam_min = g.min_eigenvalue
-    if lam_min <= EIGENVALUE_FLOOR:
-        raise ValueError(f"Gram matrix is numerically singular (lambda_min = {lam_min:.3e})")
-    return float(math.sqrt(float(np.min(np.diag(g.entries))) / lam_min))
+    return float(math.sqrt(float(np.min(np.diag(g.entries))) / _radius_eigenvalue(g)))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import CoefficientVector, SolverResult, as_gram_matrix, quad_objective
 from .errors import ResourceBudgetError
+from .gram import _radius_eigenvalue
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
 # keeps boundary points in despite float rounding in the partial sums
@@ -47,10 +48,7 @@ def certification_radius(g, f_value: float) -> float:
     g = as_gram_matrix(g)
     if not (math.isfinite(f_value) and f_value > 0.0):
         raise ValueError("objective bound must be finite and positive")
-    lam_min = g.min_eigenvalue
-    if lam_min <= 1e-12:
-        raise ValueError(f"Gram matrix is numerically singular (lambda_min = {lam_min:.3e})")
-    return max(1.0, math.sqrt(f_value / lam_min) * (1.0 + 1e-9))
+    return max(1.0, math.sqrt(f_value / _radius_eigenvalue(g)) * (1.0 + 1e-9))
 
 
 def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | None, int]:
@@ -136,8 +134,9 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     t0 = time.perf_counter()
     g = as_gram_matrix(g)
     radius = float(radius)
-    if not (math.isfinite(radius) and radius >= 1.0):
-        raise ValueError("radius must be finite and at least 1")
+    # the search works on radius^2, which must not overflow
+    if not (math.isfinite(radius * radius) and radius >= 1.0):
+        raise ValueError("radius must be at least 1 and its square finite")
     estimate = ball_point_estimate(g.n, radius)
     if budget is not None and estimate > budget:
         raise ResourceBudgetError(

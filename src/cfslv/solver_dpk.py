@@ -22,13 +22,12 @@ import numpy as np
 
 from .core import (
     RANK_SV_RTOL,
-    CoefficientVector,
     DpkDecomposition,
     SolverResult,
     as_gram_matrix,
-    canonical_sign,
-    quad_objective,
+    _best_unit_vector,
     _freeze,
+    _solver_result,
 )
 from .errors import ResourceBudgetError
 from .gram import search_radius_psi, validate_dpk
@@ -155,24 +154,17 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     t0 = time.perf_counter()
     g = as_gram_matrix(g)
     g_arr = g.entries
-    n = g.n
 
-    diag = np.diag(g_arr)
-    unit_index = int(np.argmin(diag))
-    best_f = float(diag[unit_index])
-    best_a = np.zeros(n, dtype=np.int64)
-    best_a[unit_index] = 1
+    best_f, best_a = _best_unit_vector(g_arr)
     best_x: np.ndarray | None = None
-    candidates = n
+    candidates = g.n
     vertex_count = 0
 
     if dec is None:
-        off = g_arr - np.diag(diag)
+        off = g_arr - np.diag(np.diag(g_arr))
         if np.any(off != 0.0):
             raise ValueError("a decomposition is required unless the Gram matrix is diagonal")
     else:
-        if dec.n != n:
-            raise ValueError(f"dimension mismatch: matrix is {n}, decomposition is {dec.n}")
         if not validate_dpk(g, dec):
             raise ValueError("decomposition does not reproduce the Gram matrix")
         # the bound is >= 1 mathematically; rounding in the eigensolve
@@ -197,18 +189,6 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         if f.size:
             j = int(np.argmin(f))
             if f[j] < best_f:
-                best_f = float(f[j])
                 best_a = cand[j].astype(np.int64)
                 best_x = verts[owner[j]]
-
-    result = canonical_sign(CoefficientVector(best_a))
-    if best_x is not None and not np.array_equal(result.entries, best_a):
-        best_x = -best_x
-    return SolverResult(
-        a_star=result,
-        f_star=quad_objective(g_arr, result.entries),
-        candidates_evaluated=candidates,
-        breakpoint_count=vertex_count,
-        elapsed_seconds=time.perf_counter() - t0,
-        witness_point=best_x,
-    )
+    return _solver_result(g_arr, best_a, best_x, t0, candidates, vertex_count)

@@ -17,13 +17,7 @@ import time
 
 import numpy as np
 
-from .core import (
-    CoefficientVector,
-    SolverResult,
-    as_channel_vector,
-    canonical_sign,
-    quad_objective,
-)
+from .core import SolverResult, as_channel_vector, _best_unit_vector, _solver_result
 from .errors import ResourceBudgetError
 from .gram import _check_power
 
@@ -52,12 +46,8 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
         raise ValueError("1 + P|h|^2 overflows a float; scale the channel or the power down")
     g_arr = scale * np.eye(n) - power * np.outer(hv, hv)
 
-    diag = np.diag(g_arr)
-    unit_index = int(np.argmin(diag))
-    best_f = float(diag[unit_index])
-    best_a = np.zeros(n, dtype=np.int64)
-    best_a[unit_index] = 1
-    best_x: float | None = None
+    best_f, best_a = _best_unit_vector(g_arr)
+    best_x: np.ndarray | None = None
 
     psi = math.sqrt(scale)
     worst_case = n * (2 * math.ceil(psi) + 2)
@@ -82,16 +72,5 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     if f.size and f.min() < best_f:
         j = int(scored[np.argmin(f)])
         best_a = np.bincount(coord[: j + 1], minlength=n) * np.sign(hv).astype(np.int64)
-        best_x = 0.5 * (float(xs[j]) + float(xs[j + 1]))
-
-    result = canonical_sign(CoefficientVector(best_a))
-    if best_x is not None and not np.array_equal(result.entries, best_a):
-        best_x = -best_x
-    return SolverResult(
-        a_star=result,
-        f_star=quad_objective(g_arr, result.entries),
-        candidates_evaluated=n + scored.size,
-        breakpoint_count=int(xs.size),
-        elapsed_seconds=time.perf_counter() - t0,
-        witness_point=None if best_x is None else np.array([best_x]),
-    )
+        best_x = np.array([0.5 * (float(xs[j]) + float(xs[j + 1]))])
+    return _solver_result(g_arr, best_a, best_x, t0, n + scored.size, int(xs.size))

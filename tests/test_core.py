@@ -1,4 +1,4 @@
-"""Core types, the quadratic objective, rounding, and sign conventions."""
+"""Core types, the quadratic objective, and sign conventions."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from cfslv.core import (
     SolverResult,
     canonical_sign,
     quadratic_form,
-    round_half_up_vector,
 )
 from cfslv.errors import ConvergenceError
 
@@ -38,28 +37,6 @@ def test_quadratic_form_identity():
 def test_quadratic_form_dimension_mismatch():
     with pytest.raises(ValueError):
         quadratic_form(GramMatrix(np.eye(2)), [1, 0, 0])
-
-
-def test_round_half_up_definition():
-    assert round_half_up_vector([0.5, -0.5, 1.2]).tolist() == [1, 0, 1]
-
-
-def test_round_half_up_zero():
-    assert round_half_up_vector([0.0, 0.0]).tolist() == [0, 0]
-
-
-def test_round_half_up_ordinary_values():
-    assert round_half_up_vector([2.49, -2.51]).tolist() == [2, -3]
-
-
-def test_round_half_up_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        round_half_up_vector([np.nan])
-
-
-@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=10))
-def test_round_half_up_fixes_integers(values):
-    assert round_half_up_vector(np.array(values, dtype=float)).tolist() == values
 
 
 def test_canonical_sign_flips():
@@ -165,6 +142,21 @@ def test_dpk_decomposition_rejects_marginally_indefinite():
     with pytest.raises(ValueError, match="positive definite"):
         DpkDecomposition(d=np.ones(3),
                          v=np.array([[np.sqrt(1.0 + 1e-6), 0.0], [0.0, 0.5], [0.0, 0.0]]))
+
+
+def test_dpk_decomposition_definiteness_with_spread_diagonal():
+    # W = diag(d)^-1/2 V has largest singular value sigma; diag(d) - V V^T
+    # is positive definite exactly when sigma < 1, whatever the spread of d
+    d = np.logspace(-3.0, 3.0, 5)
+    u, _, wt = np.linalg.svd(np.random.default_rng(5).standard_normal((5, 2)),
+                             full_matrices=False)
+    for sigma in (1.0 - 1e-6, 1.0 + 1e-6):
+        v = np.sqrt(d)[:, None] * (u * [sigma, 0.3]) @ wt
+        if sigma < 1.0:
+            assert DpkDecomposition(d=d, v=v).k == 2
+        else:
+            with pytest.raises(ValueError, match="positive definite"):
+                DpkDecomposition(d=d, v=v)
 
 
 def test_solver_result_validation():

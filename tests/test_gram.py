@@ -72,34 +72,34 @@ def test_dpk_reproduces_gram():
         if not h.any():
             continue
         power = float(rng.uniform(0.05, 20.0))
-        assert validate_dpk(build_gram_single(h, power), dpk_from_single(h, power), 1e-9)
+        assert validate_dpk(build_gram_single(h, power), dpk_from_single(h, power))
 
 
 def test_validate_dpk_frozen_examples():
     g = GramMatrix(np.array([[3.0, -2.0], [-2.0, 3.0]]))
     dec = DpkDecomposition(d=np.array([5.0, 5.0]), v=np.full((2, 1), np.sqrt(2.0)))
-    assert validate_dpk(g, dec, 1e-9)
+    assert validate_dpk(g, dec)
 
     near = DpkDecomposition(d=np.array([1.0, 1.0]), v=np.full((2, 1), 0.1))
-    assert not validate_dpk(GramMatrix(np.eye(2)), near, 1e-9)
+    assert not validate_dpk(GramMatrix(np.eye(2)), near)
 
     g2 = GramMatrix(np.array([[1.0, 0.0], [0.0, 4.0]]))
     dec2 = DpkDecomposition(d=np.array([4.0, 4.0]), v=np.array([[np.sqrt(3.0)], [0.0]]))
-    assert validate_dpk(g2, dec2, 1e-9)
+    assert validate_dpk(g2, dec2)
 
 
 def test_validate_dpk_rejects_shape_mismatch():
     g = GramMatrix(np.eye(3))
     dec = DpkDecomposition(d=np.array([5.0, 5.0]), v=np.full((2, 1), np.sqrt(2.0)))
     with pytest.raises(ValueError):
-        validate_dpk(g, dec, 1e-9)
+        validate_dpk(g, dec)
 
 
 def test_mimo_rank_one_channel():
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array([[1.0], [1.0]]), power=2.0))
     assert np.allclose(gram.entries, [[0.6, -0.4], [-0.4, 0.6]], atol=1e-12)
     assert dec is not None and dec.k == 1
-    assert validate_dpk(gram, dec, 1e-9)
+    assert validate_dpk(gram, dec)
 
 
 def test_mimo_zero_channel_is_identity_with_no_decomposition():
@@ -119,7 +119,7 @@ def test_mimo_rank_deficient_columns_shrink_k():
     h = np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=2.0))
     assert dec is not None and dec.k == 1
-    assert validate_dpk(gram, dec, 1e-9)
+    assert validate_dpk(gram, dec)
 
 
 def test_mimo_self_consistency_random():
@@ -131,7 +131,7 @@ def test_mimo_self_consistency_random():
                               power=float(rng.uniform(0.05, 10.0)))
         gram, dec = build_gram_mimo(channel)
         assert dec is not None
-        assert validate_dpk(gram, dec, 1e-9)
+        assert validate_dpk(gram, dec)
         lam = np.linalg.eigvalsh(gram.entries)
         assert lam[-1] <= 1.0 + 1e-12 and lam[0] > 0.0
 

@@ -141,6 +141,11 @@ def test_rejects_small_radius():
         brute_force_slv(GramMatrix(np.eye(2)), 0.5)
 
 
+def test_rejects_radius_whose_square_overflows():
+    with pytest.raises(ValueError, match="square finite"):
+        brute_force_slv(GramMatrix(np.eye(2)), 1e200, budget=None)
+
+
 def test_budget_error_on_huge_search_space():
     g = build_gram_single(np.ones(8), 1.0)
     with pytest.raises(ResourceBudgetError):

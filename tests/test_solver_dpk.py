@@ -111,6 +111,11 @@ def test_solve_rejects_wrong_decomposition():
         solve_dpk(g, rank_one_dec())
 
 
+def test_solve_rejects_non_decomposition():
+    with pytest.raises(ValueError, match="expected a DpkDecomposition"):
+        solve_dpk(GramMatrix(np.eye(2)), 5)
+
+
 def test_solve_zero_mimo_channel_falls_back_to_unit():
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.zeros((3, 2)), power=2.0))
     res = solve_dpk(gram, dec)
