@@ -152,10 +152,11 @@ class SolverResult:
 
     f_star is the objective recomputed from scratch at a_star, so it is
     reproducible independent of any incremental arithmetic used during
-    the search.  witness_point is a real point that certifies a_star
-    (None when a unit vector won outright): for solve_single a point
-    whose coordinate-wise rounding is a_star, for solve_dpk a vertex x
-    of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2 entrywise.
+    the search.  witness_point is a real point x of a_star's closed cell
+    that certifies it (None when a unit vector won outright): for
+    solve_single an interval midpoint with round(x h) = a_star; for
+    solve_dpk |diag(d)^-1 V x - a_star| <= 1/2 entrywise, with x the
+    interval midpoint of the sweep for k = 1 and a vertex for k >= 2.
     """
 
     a_star: CoefficientVector

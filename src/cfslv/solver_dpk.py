@@ -9,7 +9,8 @@ touches a vertex, and the cell of an optimum within the norm bound
 touches a vertex with |c| <= ceil(psi) + 1/2.  The solver therefore
 scores the rounded cells at each vertex: rows that pass through the
 vertex round down or up, one choice per direction, and every other row
-rounds to nearest.
+rounds to nearest.  For k = 1 the vertices are the crossings of one
+line, and the solver runs solve_single's prefix-sum sweep instead.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from .core import (
 )
 from .errors import ResourceBudgetError
 from .gram import search_radius_psi, validate_dpk
+from .solver_single import _crossing_sweep
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
 TIGHT_RTOL = 1e-8
 PARALLEL_TOL = 1e-9
+_SWEEP_TIE_RTOL = 1e-9
 
 
 def vertex_set(dec: DpkDecomposition, psi: float, *,
@@ -44,11 +47,13 @@ def vertex_set(dec: DpkDecomposition, psi: float, *,
 
     Every size-k row subset pi whose submatrix is nonsingular is paired
     with every vector c of half-integers bounded by ceil(psi) + 1/2.
-    Singular subsets (singular value ratio at or below 1e-10) are
-    skipped.  Vertices are sorted lexicographically on their coordinates
-    rounded to multiples of 1e-9, ties by the exact coordinates, and a
-    point closer than 1e-9 in Euclidean distance to its predecessor in
-    that order is merged into it.  Returns the sorted vertices as a
+    Singular subsets are skipped: those whose rows of diag(d)^-1/2 V
+    have a singular value ratio at or below 1e-10, the test
+    DpkDecomposition applies to all of it.  Vertices are sorted
+    lexicographically on their coordinates rounded to multiples of
+    1e-9, ties by the exact coordinates, and a point closer than 1e-9
+    in Euclidean distance to its predecessor in that order is merged
+    into it.  Returns the sorted vertices as a
     read-only (m, k) array.  Raises ResourceBudgetError if the solve
     count C(n,k) * (2 ceil(psi) + 2)^k exceeds budget.
     """
@@ -68,11 +73,10 @@ def vertex_set(dec: DpkDecomposition, psi: float, *,
             f"vertex bound {n_subsets * per_subset} exceeds budget {budget}"
         )
     rhs = np.stack(np.meshgrid(*([cs] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    ratios = dec.v / dec.d[:, None]
     subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    subs = ratios[subsets]
-    sv = np.linalg.svd(subs, compute_uv=False)
-    subs = subs[(sv[:, 0] != 0.0) & (sv[:, -1] > RANK_SV_RTOL * sv[:, 0])]
+    sv = np.linalg.svd((dec.v / np.sqrt(dec.d)[:, None])[subsets], compute_uv=False)
+    subsets = subsets[(sv[:, 0] != 0.0) & (sv[:, -1] > RANK_SV_RTOL * sv[:, 0])]
+    subs = (dec.v / dec.d[:, None])[subsets]
     if subs.shape[0] == 0:
         return _freeze(np.empty((0, k)))
     pts = np.linalg.solve(subs, rhs.T).swapaxes(1, 2).reshape(-1, k)
@@ -137,19 +141,104 @@ def _vertex_cells(verts: np.ndarray, ratios: np.ndarray,
     return base + (up & tight[owner]), owner
 
 
+# (f on G, a, witness, candidates scored, breakpoint_count) of a search
+_Best = tuple[float, np.ndarray | None, np.ndarray | None, int, int]
+
+
+def _rank_one_sweep(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
+                    budget: int | None, best_f: float) -> _Best:
+    """Best rounding of x r, r = v / d, over the open intervals at x > 0.
+
+    Prefix sums of d_j a_j^2 and |v_j| |a_j| over the sorted crossings
+    give f = sum d a^2 - (v^T a)^2 on each interval in O(1).  Those
+    values differ from G's in the last bits, so the intervals within
+    1e-9 sum d a^2 (taken at the sweep minimum) of the minimum are
+    scored again on G with _vertex_search's einsum, latest first: the
+    order in which the vertex method meets their cells (x < 0 first,
+    farthest out first), so ties break as they would there.  Nothing is
+    scored again when the minimum exceeds best_f by more than that
+    margin.  Returns (f on G, a, interval midpoint, intervals swept,
+    crossings); f is inf and a None when nothing was scored again.
+    Raises ResourceBudgetError if the vertex bound n (2 ceil(psi) + 2)
+    exceeds budget.
+    """
+    n = dec.n
+    worst_case = n * (2 * math.ceil(psi) + 2)
+    if budget is not None and worst_case > budget:
+        raise ResourceBudgetError(f"vertex bound {worst_case} exceeds budget {budget}")
+    mags = np.abs(dec.v[:, 0])
+    xs, coord, step, scored = _crossing_sweep(mags / dec.d, math.ceil(psi))
+    if scored.size == 0:
+        return math.inf, None, None, 0, int(xs.size)
+    norm2 = np.cumsum(dec.d[coord] * step)[scored]
+    f = norm2 - np.cumsum(mags[coord])[scored] ** 2
+    m = int(np.argmin(f))
+    margin = _SWEEP_TIE_RTOL * norm2[m]
+    if f[m] - margin >= best_f:
+        return math.inf, None, None, int(scored.size), int(xs.size)
+    near = scored[f <= f[m] + margin]
+    # |a| on each near interval: counts per (near interval, coordinate)
+    # of the crossings since the previous one, summed up
+    seg = np.searchsorted(near, np.arange(near[-1] + 1))
+    counts = np.bincount(seg * n + coord[: near[-1] + 1], minlength=near.size * n)
+    cand = (np.cumsum(counts.reshape(near.size, n), axis=0) * np.sign(dec.v[:, 0]))[::-1]
+    # at n = 2 einsum sums a batch of one or two rows in another order
+    # than a longer one; from three rows on, each row gets the bits it
+    # gets in the vertex method's batch, which is never shorter
+    batch = np.resize(cand, (max(3, near.size), n))
+    f_g = np.einsum("ij,jk,ik->i", batch, g_arr, batch)[: near.size]
+    j = int(np.argmin(f_g))
+    i = int(near[-1 - j])
+    return (float(f_g[j]), cand[j].astype(np.int64),
+            np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), int(scored.size), int(xs.size))
+
+
+def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
+                   budget: int | None) -> _Best:
+    """Best rounded cell at the arrangement vertices, for k >= 2.
+
+    Returns (f on G, a, its vertex, candidates scored, vertices) as
+    _rank_one_sweep does; the earliest candidate wins a tie.
+    """
+    verts = vertex_set(dec, psi, budget=budget)
+    # C(#vertices, k+1) no longer measures the work (the candidate
+    # count in _vertex_cells does); it still refuses the instances
+    # it refused when every (k+1)-subset of vertices was scored
+    k = dec.k
+    n_groups = math.comb(verts.shape[0], k + 1)
+    if budget is not None and n_groups > budget:
+        raise ResourceBudgetError(
+            f"{n_groups} vertex groups of size {k + 1} exceed budget {budget}"
+        )
+    cand, owner = _vertex_cells(verts, dec.v / dec.d[:, None], budget)
+    f = np.einsum("ij,jk,ik->i", cand, g_arr, cand)
+    # a cell next to the origin rounds to zero, which is no candidate
+    f[~cand.any(axis=1)] = np.inf
+    if not f.size:
+        return math.inf, None, None, 0, verts.shape[0]
+    j = int(np.argmin(f))
+    return (float(f[j]), cand[j].astype(np.int64), verts[owner[j]], cand.shape[0],
+            verts.shape[0])
+
+
 def solve_dpk(g, dec: DpkDecomposition | None, *,
               budget: int | None = DEFAULT_COMBINATION_BUDGET) -> SolverResult:
     """Exact minimizer of a^T G a using the low-rank structure of G.
 
     dec must reproduce g to a 1e-9 relative tolerance (checked).  A
     None decomposition is accepted only for diagonal g, where the best
-    unit vector is already optimal.  Candidates are the rounded cells
-    at each arrangement vertex (see _vertex_cells); ties keep the
-    earliest candidate, so the unit-vector initializer wins ties.  The
-    witness is the vertex of a_star's closed cell that produced it, so
-    |diag(d)^-1 V x - a_star| <= 1/2 entrywise.  Raises
-    ResourceBudgetError if the number of vertex subsets C(#vertices,
-    k+1) or the number of candidates exceeds budget.
+    unit vector is already optimal.  For k = 1 the candidates are the
+    roundings of x v / d on the open intervals between the x > 0
+    crossings, swept as in solve_single (see _rank_one_sweep), and
+    breakpoint_count counts those crossings; for k >= 2 they are the
+    rounded cells at each arrangement vertex (see _vertex_cells), and
+    breakpoint_count counts the vertices.  Ties keep the earliest
+    candidate, so the unit-vector initializer wins ties.  The witness is
+    a point x of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2
+    entrywise: the interval midpoint for k = 1, the vertex that produced
+    a_star for k >= 2.  Raises ResourceBudgetError if the vertex bound
+    C(n, k) (2 ceil(psi) + 2)^k exceeds budget, and for k >= 2 if the
+    number of vertex subsets C(#vertices, k+1) or of candidates does.
     """
     t0 = time.perf_counter()
     g = as_gram_matrix(g)
@@ -170,25 +259,11 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         # the bound is >= 1 mathematically; rounding in the eigensolve
         # must not be allowed to truncate the half-integer range
         psi = max(1.0, search_radius_psi(g))
-        verts = vertex_set(dec, psi, budget=budget)
-        vertex_count = verts.shape[0]
-        # C(#vertices, k+1) no longer measures the work (the candidate
-        # count in _vertex_cells does); it still refuses the instances
-        # it refused when every (k+1)-subset of vertices was scored
-        k = dec.k
-        n_groups = math.comb(vertex_count, k + 1)
-        if budget is not None and n_groups > budget:
-            raise ResourceBudgetError(
-                f"{n_groups} vertex groups of size {k + 1} exceed budget {budget}"
-            )
-        cand, owner = _vertex_cells(verts, dec.v / dec.d[:, None], budget)
-        candidates += cand.shape[0]
-        f = np.einsum("ij,jk,ik->i", cand, g_arr, cand)
-        # a cell next to the origin rounds to zero, which is no candidate
-        f[~cand.any(axis=1)] = np.inf
-        if f.size:
-            j = int(np.argmin(f))
-            if f[j] < best_f:
-                best_a = cand[j].astype(np.int64)
-                best_x = verts[owner[j]]
+        if dec.k == 1:
+            f, a, x, scored, vertex_count = _rank_one_sweep(g_arr, dec, psi, budget, best_f)
+        else:
+            f, a, x, scored, vertex_count = _vertex_search(g_arr, dec, psi, budget)
+        candidates += scored
+        if f < best_f:
+            best_a, best_x = a, x
     return _solver_result(g_arr, best_a, best_x, t0, candidates, vertex_count)

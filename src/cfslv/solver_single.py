@@ -24,6 +24,31 @@ from .gram import _check_power
 DEFAULT_BREAKPOINT_BUDGET = 10_000_000
 
 
+def _crossing_sweep(mags: np.ndarray, cmax: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The x > 0 crossings of x -> |round(x r)| for |r| = mags, sorted.
+
+    |round(x r_j)| steps from c to c + 1 where x crosses (c + 1/2) /
+    |r_j|, c = 0..cmax; zero entries give no crossing.  Returns the
+    finite crossings xs in ascending order (a stable sort, so equal
+    crossings keep coordinate order), the coordinate j of each and its
+    step 2c + 1 in a_j^2, and the indices i with xs[i] < xs[i+1]: the
+    first i + 1 crossings give |round(x r)| on each such open interval.
+    Both solve_single and the rank-one solve_dpk sweep these.
+    """
+    nz = np.flatnonzero(mags)
+    c = np.arange(cmax + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        xs = ((c + 0.5) / mags[nz, None]).ravel()
+    # overflowing crossings sort last and lie beyond every x the sweep reaches
+    order = np.argsort(xs, kind="stable")[: np.count_nonzero(np.isfinite(xs))]
+    xs = xs[order]
+    # crossing i is (c, nz[j]) for c = i % c.size, j = i // c.size
+    coord = nz[order // c.size]
+    step = 2.0 * (order % c.size) + 1.0
+    return xs, coord, step, np.flatnonzero(xs[1:] > xs[:-1])
+
+
 def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> SolverResult:
     """Exact minimizer of a^T G a over nonzero integer vectors.
 
@@ -56,18 +81,9 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
             f"breakpoint bound {worst_case} exceeds budget {budget}"
         )
     mags = np.abs(hv)
-    nz = np.flatnonzero(mags)
-    c = np.arange(math.ceil(psi) + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        xs = ((c + 0.5) / mags[nz, None]).ravel()
-    # overflowing crossings sort last and lie beyond every x the sweep reaches
-    order = np.argsort(xs, kind="stable")[: np.count_nonzero(np.isfinite(xs))]
-    xs = xs[order]
-    coord = np.repeat(nz, c.size)[order]
-    norm2 = np.cumsum(np.tile(2.0 * c + 1.0, nz.size)[order])
+    xs, coord, step, scored = _crossing_sweep(mags, math.ceil(psi))
+    norm2 = np.cumsum(step)
     dot = np.cumsum(mags[coord])
-    # prefix j is round(x*h) on (xs[j], xs[j+1]) when that interval is open
-    scored = np.flatnonzero(xs[1:] > xs[:-1])
     f = scale * norm2[scored] - power * dot[scored] ** 2
     if f.size and f.min() < best_f:
         j = int(scored[np.argmin(f)])

@@ -307,7 +307,7 @@ def test_higher_rank_matches_oracle(n, k):
         assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
 
 
-def test_rank_one_scores_two_cells_per_vertex():
+def test_rank_one_sweep_counts():
     rng = np.random.default_rng(103)
     for _ in range(40):
         n = int(rng.integers(2, 9))
@@ -315,6 +315,113 @@ def test_rank_one_scores_two_cells_per_vertex():
         if not h.any():
             continue
         power = float(rng.uniform(0.1, 20.0))
-        res = solve_dpk(build_gram_single(h, power), dpk_from_single(h, power))
-        # every vertex has one tight direction, whatever the number of tight rows
-        assert res.candidates_evaluated == n + 2 * res.breakpoint_count
+        gram = build_gram_single(h, power)
+        res = solve_dpk(gram, dpk_from_single(h, power))
+        psi = max(1.0, search_radius_psi(gram))
+        # breakpoint_count counts the x > 0 crossings, c = 0..ceil(psi)
+        # on each nonzero coordinate
+        assert res.breakpoint_count == np.count_nonzero(h) * (math.ceil(psi) + 1)
+        assert res.breakpoint_count <= n * (math.ceil(psi) + 1)
+        # n unit vectors, then at most one open interval per crossing
+        assert n < res.candidates_evaluated <= n + res.breakpoint_count
+        # criterion 5's bound
+        assert res.breakpoint_count <= math.comb(n, 1) * (2 * math.ceil(psi) + 2)
+
+
+def rank_one_draws(rng, count):
+    """User-supplied rank-one pairs: d over 1e-2..1e2, v with zero
+    entries and equal or opposite gains, scaled so that G stays
+    positive definite."""
+    for trial in range(count):
+        n = int(rng.integers(1, 7))
+        d = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), n))
+        kind = trial % 4
+        if kind == 0:
+            w = rng.standard_normal(n)
+        elif kind == 1:
+            w = rng.choice([-1.0, 1.0], n)  # equal or opposite gains
+        elif kind == 2:
+            w = rng.integers(-2, 3, n) / 2.0  # zero and commensurate entries
+        else:
+            w = np.round(rng.standard_normal(n), 1)
+        if not w.any():
+            continue
+        if kind == 1:
+            d = np.full(n, d[0])
+        # W = diag(d)^-1/2 v with |W| = s < 1 keeps diag(d) - v v^T definite
+        s = float(rng.uniform(0.3, 0.99))
+        v = np.sqrt(d) * w * (s / np.linalg.norm(w))
+        dec = DpkDecomposition(d=d, v=v[:, None])
+        yield GramMatrix(np.diag(d) - np.outer(v, v)), dec
+
+
+def test_rank_one_user_decompositions_match_oracle(box_minimum):
+    rng = np.random.default_rng(107)
+    checked = 0
+    for gram, dec in rank_one_draws(rng, 240):
+        res = solve_dpk(gram, dec, budget=None)
+        radius = certification_radius(gram, res.f_star)
+        oracle = brute_force_slv(gram, radius, budget=None)
+        assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+        if res.witness_point is not None:
+            image = (dec.v[:, 0] / dec.d) * res.witness_point[0]
+            assert np.all(np.abs(image - res.a_star.entries) <= 0.5 + 1e-9)
+        if gram.n <= 3:
+            box_f, _ = box_minimum(gram.entries, math.ceil(radius), radius)
+            assert abs(res.f_star - box_f) <= 1e-9 * max(1.0, box_f)
+        checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("power", [0.2, 0.6])
+def test_rank_one_equal_gains_keep_the_first_unit_vector(power):
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.ones((4, 1)), power=power))
+    res = solve_dpk(gram, dec)
+    # below P = 1 every unit vector beats (1,1,1,1); G's diagonal entries
+    # are equal in these two cases, and the first unit vector wins the tie
+    assert np.all(np.diag(gram.entries) == gram.entries[0, 0])
+    assert res.a_star.entries.tolist() == [1, 0, 0, 0]
+    assert res.witness_point is None
+    assert res.f_star == gram.entries[0, 0]
+
+
+def test_rank_one_large_single_antenna_instance():
+    # its 8 448 arrangement vertices give C(8448, 2) > 2e7 vertex groups;
+    # the rank-one sweep checks only the vertex bound against the budget
+    rng = np.random.default_rng(109)
+    h = rng.standard_normal(128)
+    res = solve_dpk(build_gram_single(h, 10.0), dpk_from_single(h, 10.0))
+    assert res.f_star == solve_single(h, 10.0).f_star
+
+
+def vertex_set_draws(rng, count):
+    """n = k = 2 pairs whose W = diag(d)^-1/2 V is nearly rank-deficient
+    and close to the definiteness limit, with d spread over 1e-2..1e2."""
+    for _ in range(count):
+        d = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 2))
+        top = 1.0 - 10.0 ** rng.uniform(-4.0, -1.0)
+        ratio = 10.0 ** rng.uniform(-10.5, -9.0)
+        left, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        right, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        w = left @ np.diag([top, top * ratio]) @ right.T
+        try:
+            dec = DpkDecomposition(d=d, v=np.sqrt(d)[:, None] * w)
+        except ValueError:
+            continue  # W's singular value ratio is at or below 1e-10
+        yield GramMatrix(np.diag(d) - dec.v @ dec.v.T), dec
+
+
+def test_vertex_set_keeps_subsets_the_decomposition_accepts():
+    rng = np.random.default_rng(113)
+    solved = 0
+    for gram, dec in vertex_set_draws(rng, 400):
+        try:
+            res = solve_dpk(gram, dec)
+        except ResourceBudgetError:
+            continue
+        # the one 2-row subset is W itself, which DpkDecomposition accepted
+        assert res.breakpoint_count > 0
+        oracle = brute_force_slv(gram, certification_radius(gram, res.f_star), budget=None)
+        assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+        solved += 1
+    assert solved >= 50
