@@ -26,7 +26,7 @@ from .gram import (
 )
 from .oracle import brute_force_slv, certification_radius
 from .rate import computation_rate, rate_from_objective
-from .solver_dpk import solve_dpk, vertex_set
+from .solver_dpk import solve_dpk
 from .solver_single import solve_single
 
 __version__ = "0.1.0"
@@ -58,5 +58,4 @@ __all__ = [
     "solve_dpk",
     "solve_single",
     "validate_dpk",
-    "vertex_set",
 ]

@@ -172,9 +172,10 @@ def run_bench(config: BenchConfig) -> BenchResult:
     Records come back in trial order whatever the worker count, so
     reports are reproducible (timings aside).
     """
-    workers = resolve_workers()
+    # a fork-based pool starts all max_workers processes at the first submit
+    workers = min(resolve_workers(), config.trials)
     tasks = [(config, i) for i in range(config.trials)]
-    if workers == 1 or config.trials == 1:
+    if workers == 1:
         outcomes = [_trial_task(t) for t in tasks]
     else:
         chunk = max(1, config.trials // (workers * 4))

@@ -41,8 +41,7 @@ PARALLEL_TOL = 1e-9
 _SWEEP_TIE_RTOL = 1e-9
 
 
-def vertex_set(dec: DpkDecomposition, psi: float, *,
-               budget: int | None = DEFAULT_COMBINATION_BUDGET) -> np.ndarray:
+def _vertex_set(dec: DpkDecomposition, psi: float) -> np.ndarray:
     """Arrangement vertices x solving (diag(d)^-1 V)_pi x = c.
 
     Every size-k row subset pi whose submatrix is nonsingular is paired
@@ -53,25 +52,13 @@ def vertex_set(dec: DpkDecomposition, psi: float, *,
     lexicographically on their coordinates rounded to multiples of
     1e-9, ties by the exact coordinates, and a point closer than 1e-9
     in Euclidean distance to its predecessor in that order is merged
-    into it.  Returns the sorted vertices as a
-    read-only (m, k) array.  Raises ResourceBudgetError if the solve
-    count C(n,k) * (2 ceil(psi) + 2)^k exceeds budget.
+    into it.  Returns the sorted vertices as a read-only (m, k) array.
+    solve_dpk checks the solve count C(n,k) * (2 ceil(psi) + 2)^k
+    against its budget first.
     """
-    if not isinstance(dec, DpkDecomposition):
-        raise ValueError("expected a DpkDecomposition")
-    psi = float(psi)
-    if not (math.isfinite(psi) and psi >= 1.0):
-        raise ValueError("search radius must be finite and at least 1")
     n, k = dec.n, dec.k
-    cmax = math.ceil(psi)
-    pos = np.arange(0.5, cmax + 1.0, 1.0)
+    pos = np.arange(0.5, math.ceil(psi) + 1.0, 1.0)
     cs = np.concatenate([-pos[::-1], pos])
-    per_subset = cs.size ** k
-    n_subsets = math.comb(n, k)
-    if budget is not None and n_subsets * per_subset > budget:
-        raise ResourceBudgetError(
-            f"vertex bound {n_subsets * per_subset} exceeds budget {budget}"
-        )
     rhs = np.stack(np.meshgrid(*([cs] * k), indexing="ij"), axis=-1).reshape(-1, k)
     subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     sv = np.linalg.svd((dec.v / np.sqrt(dec.d)[:, None])[subsets], compute_uv=False)
@@ -145,27 +132,17 @@ def _vertex_cells(verts: np.ndarray, ratios: np.ndarray,
 _Best = tuple[float, np.ndarray | None, np.ndarray | None, int, int]
 
 
-def _rank_one_sweep(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
-                    budget: int | None, best_f: float) -> _Best:
+def _rank_one_sweep(g_arr: np.ndarray, dec: DpkDecomposition, psi: float) -> _Best:
     """Best rounding of x r, r = v / d, over the open intervals at x > 0.
 
     Prefix sums of d_j a_j^2 and |v_j| |a_j| over the sorted crossings
     give f = sum d a^2 - (v^T a)^2 on each interval in O(1).  Those
     values differ from G's in the last bits, so the intervals within
     1e-9 sum d a^2 (taken at the sweep minimum) of the minimum are
-    scored again on G with _vertex_search's einsum, latest first: the
-    order in which the vertex method meets their cells (x < 0 first,
-    farthest out first), so ties break as they would there.  Nothing is
-    scored again when the minimum exceeds best_f by more than that
-    margin.  Returns (f on G, a, interval midpoint, intervals swept,
-    crossings); f is inf and a None when nothing was scored again.
-    Raises ResourceBudgetError if the vertex bound n (2 ceil(psi) + 2)
-    exceeds budget.
+    scored again on G with _vertex_search's einsum, latest first, so
+    that a tie on G goes to the larger x.  Returns (f on G, a, interval midpoint, intervals
+    swept, crossings); f is inf and a None when no interval is open.
     """
-    n = dec.n
-    worst_case = n * (2 * math.ceil(psi) + 2)
-    if budget is not None and worst_case > budget:
-        raise ResourceBudgetError(f"vertex bound {worst_case} exceeds budget {budget}")
     mags = np.abs(dec.v[:, 0])
     xs, coord, step, scored = _crossing_sweep(mags / dec.d, math.ceil(psi))
     if scored.size == 0:
@@ -173,22 +150,12 @@ def _rank_one_sweep(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
     norm2 = np.cumsum(dec.d[coord] * step)[scored]
     f = norm2 - np.cumsum(mags[coord])[scored] ** 2
     m = int(np.argmin(f))
-    margin = _SWEEP_TIE_RTOL * norm2[m]
-    if f[m] - margin >= best_f:
-        return math.inf, None, None, int(scored.size), int(xs.size)
-    near = scored[f <= f[m] + margin]
-    # |a| on each near interval: counts per (near interval, coordinate)
-    # of the crossings since the previous one, summed up
-    seg = np.searchsorted(near, np.arange(near[-1] + 1))
-    counts = np.bincount(seg * n + coord[: near[-1] + 1], minlength=near.size * n)
-    cand = (np.cumsum(counts.reshape(near.size, n), axis=0) * np.sign(dec.v[:, 0]))[::-1]
-    # at n = 2 einsum sums a batch of one or two rows in another order
-    # than a longer one; from three rows on, each row gets the bits it
-    # gets in the vertex method's batch, which is never shorter
-    batch = np.resize(cand, (max(3, near.size), n))
-    f_g = np.einsum("ij,jk,ik->i", batch, g_arr, batch)[: near.size]
+    near = scored[f <= f[m] + _SWEEP_TIE_RTOL * norm2[m]][::-1]
+    cand = np.array([np.bincount(coord[: i + 1], minlength=dec.n) for i in near])
+    cand = cand * np.sign(dec.v[:, 0])
+    f_g = np.einsum("ij,jk,ik->i", cand, g_arr, cand)
     j = int(np.argmin(f_g))
-    i = int(near[-1 - j])
+    i = int(near[j])
     return (float(f_g[j]), cand[j].astype(np.int64),
             np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), int(scored.size), int(xs.size))
 
@@ -200,7 +167,7 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
     Returns (f on G, a, its vertex, candidates scored, vertices) as
     _rank_one_sweep does; the earliest candidate wins a tie.
     """
-    verts = vertex_set(dec, psi, budget=budget)
+    verts = _vertex_set(dec, psi)
     # C(#vertices, k+1) no longer measures the work (the candidate
     # count in _vertex_cells does); it still refuses the instances
     # it refused when every (k+1)-subset of vertices was scored
@@ -232,13 +199,16 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     crossings, swept as in solve_single (see _rank_one_sweep), and
     breakpoint_count counts those crossings; for k >= 2 they are the
     rounded cells at each arrangement vertex (see _vertex_cells), and
-    breakpoint_count counts the vertices.  Ties keep the earliest
-    candidate, so the unit-vector initializer wins ties.  The witness is
-    a point x of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2
-    entrywise: the interval midpoint for k = 1, the vertex that produced
-    a_star for k >= 2.  Raises ResourceBudgetError if the vertex bound
-    C(n, k) (2 ceil(psi) + 2)^k exceeds budget, and for k >= 2 if the
-    number of vertex subsets C(#vertices, k+1) or of candidates does.
+    breakpoint_count counts the vertices.  The best unit vector is kept
+    unless a candidate scores strictly lower on G: for k = 1 the lowest
+    on G of the intervals near the sweep minimum (the latest on a tie),
+    for k >= 2 the earliest lowest on G.  The witness is a point x of
+    a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2 entrywise:
+    the interval midpoint for k = 1, the vertex that produced a_star
+    for k >= 2.  Raises ResourceBudgetError if the vertex bound C(n, k)
+    (2 ceil(psi) + 2)^k exceeds budget, checked once before either
+    search, and for k >= 2 if the number of vertex subsets
+    C(#vertices, k+1) or of candidates does.
     """
     t0 = time.perf_counter()
     g = as_gram_matrix(g)
@@ -259,8 +229,11 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         # the bound is >= 1 mathematically; rounding in the eigensolve
         # must not be allowed to truncate the half-integer range
         psi = max(1.0, search_radius_psi(g))
+        worst_case = math.comb(dec.n, dec.k) * (2 * math.ceil(psi) + 2) ** dec.k
+        if budget is not None and worst_case > budget:
+            raise ResourceBudgetError(f"vertex bound {worst_case} exceeds budget {budget}")
         if dec.k == 1:
-            f, a, x, scored, vertex_count = _rank_one_sweep(g_arr, dec, psi, budget, best_f)
+            f, a, x, scored, vertex_count = _rank_one_sweep(g_arr, dec, psi)
         else:
             f, a, x, scored, vertex_count = _vertex_search(g_arr, dec, psi, budget)
         candidates += scored

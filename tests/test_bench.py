@@ -114,6 +114,33 @@ def test_run_bench_parallel_equals_serial(monkeypatch):
     assert serial.candidates == parallel.candidates
 
 
+@pytest.mark.parametrize("threads, trials, started", [(64, 2, 2), (3, 10, 3), (64, 1, None)])
+def test_run_bench_starts_at_most_one_worker_per_trial(monkeypatch, threads, trials, started):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: notes max_workers, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setenv("CFSLV_THREADS", str(threads))
+    monkeypatch.setattr(cfslv.bench, "ProcessPoolExecutor", RecordingPool)
+    result = run_bench(dataclasses.replace(SINGLE_CFG, trials=trials))
+    # a single trial runs in this process, with no pool at all
+    assert sizes == ([] if started is None else [started])
+    assert [r.trial_id for r in result.records] == list(range(trials))
+
+
 def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("CFSLV_THREADS", "3")
     assert resolve_workers() == 3

@@ -16,7 +16,7 @@ from cfslv.gram import (
     search_radius_psi,
 )
 from cfslv.oracle import brute_force_slv, certification_radius
-from cfslv.solver_dpk import _vertex_cells, solve_dpk, vertex_set
+from cfslv.solver_dpk import _vertex_cells, _vertex_set, solve_dpk
 from cfslv.solver_single import solve_single
 
 
@@ -25,7 +25,7 @@ def rank_one_dec():
 
 
 def test_vertex_set_rank_one():
-    verts = vertex_set(rank_one_dec(), np.sqrt(3.0))
+    verts = _vertex_set(rank_one_dec(), np.sqrt(3.0))
     # both coordinate subsets give the same line positions c * 5 / sqrt(2)
     expected = sorted(c * 5.0 / np.sqrt(2.0) for c in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5))
     assert verts.shape[0] == 6
@@ -34,21 +34,24 @@ def test_vertex_set_rank_one():
 
 def test_vertex_set_skips_zero_rows():
     dec = DpkDecomposition(d=np.array([4.0, 4.0]), v=np.array([[np.sqrt(3.0)], [0.0]]))
-    verts = vertex_set(dec, 1.0)
+    verts = _vertex_set(dec, 1.0)
     # only the first coordinate contributes: c * 4 / sqrt(3), c in {+-.5, +-1.5}
     assert verts.shape[0] == 4
 
 
 def test_vertex_set_square_case():
     dec = DpkDecomposition(d=np.array([2.0]), v=np.array([[1.0]]))
-    verts = vertex_set(dec, 1.0)
+    verts = _vertex_set(dec, 1.0)
     assert sorted(verts[:, 0].tolist()) == [-3.0, -1.0, 1.0, 3.0]
 
 
-def test_vertex_set_budget_error():
-    dec = rank_one_dec()
-    with pytest.raises(ResourceBudgetError):
-        vertex_set(dec, 100.0, budget=10)
+@pytest.mark.parametrize("k, bound", [(1, 4 * (2 * 2 + 2)), (2, 6 * (2 * 2 + 2) ** 2)])
+def test_vertex_bound_is_checked_once_for_every_rank(k, bound):
+    # ceil(psi) = 2, so the bound is C(4, k) 6^k
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.eye(4, k) + 0.5, power=1.0))
+    assert math.ceil(search_radius_psi(gram)) == 2
+    with pytest.raises(ResourceBudgetError, match=f"^vertex bound {bound} exceeds budget {bound - 1}$"):
+        solve_dpk(gram, dec, budget=bound - 1)
 
 
 def test_vertex_set_matches_per_subset_solves():
@@ -59,7 +62,7 @@ def test_vertex_set_matches_per_subset_solves():
             h[rows[1]] = h[rows[0]]
         gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=1.5))
         psi = max(1.0, search_radius_psi(gram))
-        verts = vertex_set(dec, psi)
+        verts = _vertex_set(dec, psi)
         cs = np.arange(-math.ceil(psi) - 0.5, math.ceil(psi) + 1.0)
         rhs = np.array(list(itertools.product(cs, repeat=k))).T
         ratios = dec.v / dec.d[:, None]
@@ -136,15 +139,24 @@ def test_matches_oracle_randomized():
         assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
 
 
-def test_agrees_with_single_antenna_solver():
+@pytest.mark.parametrize("draw", ["gaussian", "integer", "half-integer"])
+def test_agrees_with_single_antenna_solver(draw):
     rng = np.random.default_rng(71)
     for _ in range(30):
         n = int(rng.integers(2, 7))
-        h = rng.standard_normal(n)
+        if draw == "gaussian":
+            h = rng.standard_normal(n)
+        elif draw == "integer":
+            h = rng.integers(-3, 4, n).astype(float)
+        else:
+            h = rng.integers(-3, 4, n) / 2.0
+        if not h.any():
+            continue
         power = float(rng.uniform(0.1, 10.0))
         fast = solve_single(h, power)
         slow = solve_dpk(build_gram_single(h, power), dpk_from_single(h, power))
-        assert abs(fast.f_star - slow.f_star) <= 1e-9 * max(1.0, fast.f_star)
+        assert slow.a_star.entries.tolist() == fast.a_star.entries.tolist()
+        assert slow.f_star == fast.f_star
 
 
 def test_norm_bound_and_vertex_count():
@@ -385,9 +397,30 @@ def test_rank_one_equal_gains_keep_the_first_unit_vector(power):
     assert res.f_star == gram.entries[0, 0]
 
 
+@pytest.mark.parametrize("h, power, a_star, f_hex", [
+    # G[3, 3] is below G[0, 0] in the last bit, and (1, 0, 0, 1) ties it
+    ((2.0, -1.0, -1.0, 2.0), 0.5, [0, 0, 0, 1], None),
+    ((-1.0, 0.0, -1.0, -1.0), 1.0, [1, 0, 1, 1], "0x1.7fffffffffffdp-1"),
+    # (1, -1, 0, 0) and (2, -2, -1, -1) tie exactly; the swept f ranks the
+    # second lower, but it scores higher on G
+    ((2.0, -2.0, -1.0, -1.0), 2.0, [1, -1, 0, 0], "0x1.e79e79e79e79ep-2"),
+], ids=["last-bit-unit-vector", "unit-interval-first", "swept-order-misleads"])
+def test_rank_one_ties_break_on_g(h, power, a_star, f_hex):
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h)[:, None], power=power))
+    res = solve_dpk(gram, dec)
+    # comparing the swept f with G's diagonal, unit interval included,
+    # would return (1, 0, 0, 1), (1, 0, 0, 0) and (2, -2, -1, -1)
+    assert res.a_star.entries.tolist() == a_star
+    if f_hex is None:
+        assert res.witness_point is None
+        assert res.f_star == gram.entries[3, 3]
+    else:
+        assert res.f_star == float.fromhex(f_hex)
+
+
 def test_rank_one_large_single_antenna_instance():
     # its 8 448 arrangement vertices give C(8448, 2) > 2e7 vertex groups;
-    # the rank-one sweep checks only the vertex bound against the budget
+    # at rank one only the vertex bound is checked against the budget
     rng = np.random.default_rng(109)
     h = rng.standard_normal(128)
     res = solve_dpk(build_gram_single(h, 10.0), dpk_from_single(h, 10.0))
