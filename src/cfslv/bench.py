@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_budget
 from .gram import MimoChannel, build_gram_mimo, build_gram_single
 from .oracle import brute_force_slv, certification_radius
 from .rate import rate_from_objective
@@ -77,8 +78,7 @@ class BenchConfig:
             raise ValueError("seed must be nonnegative")
         if self.mode == "mimo" and not (1 <= self.k <= n_lo):
             raise ValueError("antenna count k must satisfy 1 <= k <= smallest n")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be positive")
+        _check_budget(self.budget)
 
 
 @dataclass(frozen=True)

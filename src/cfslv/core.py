@@ -21,6 +21,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given.
+
+    Runs neither __init__ nor __post_init__, so none of cls's checks:
+    only for values cfslv has built and decided itself, and every field
+    of cls must be passed.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class ChannelVector:
     """Real vector of channel gains, any length >= 1."""
@@ -71,7 +84,11 @@ class GramMatrix:
     symmetrizes exactly) and positive definiteness via one LAPACK
     eigenvalue solve.  Entries are stored read-only; the smallest
     eigenvalue from that solve is kept as min_eigenvalue, so search
-    radii never eigensolve the matrix again.
+    radii never eigensolve the matrix again.  These checks run on every
+    matrix a caller passes in.  build_gram_single and build_gram_mimo
+    skip them: they check finiteness and symmetrize the same way, and
+    take min_eigenvalue from the closed-form spectrum of the G they
+    built.
     """
 
     entries: np.ndarray
@@ -110,11 +127,16 @@ class DpkDecomposition:
     difference: V has full column rank when W's smallest singular value
     exceeds 1e-10 times its largest, and diag(d) - V V^T =
     diag(d)^1/2 (I - W W^T) diag(d)^1/2 is positive definite exactly
-    when W's largest singular value is below 1.
+    when W's largest singular value is below 1.  These checks run on
+    every decomposition a caller passes in.  build_gram_mimo decides the
+    same two tests on the singular values its eigensolve already gives
+    and skips them here; it also sets _gram to the GramMatrix it built
+    from the same eigenpairs, so solve_dpk need not compare that pair.
     """
 
     d: np.ndarray
     v: np.ndarray
+    _gram: GramMatrix | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         d = np.array(self.d, dtype=float)
@@ -176,6 +198,12 @@ class SolverResult:
         if self.witness_point is not None:
             w = np.array(self.witness_point, dtype=float)
             object.__setattr__(self, "witness_point", _freeze(w))
+
+
+def _check_budget(budget: int | None) -> None:
+    """Raise ValueError unless budget is None (no limit) or at least 1."""
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be positive")
 
 
 def as_channel_vector(h) -> ChannelVector:

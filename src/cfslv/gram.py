@@ -16,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RANK_SV_RTOL,
     ChannelVector,
     DpkDecomposition,
     GramMatrix,
     as_channel_vector,
     as_gram_matrix,
     _freeze,
+    _unchecked,
 )
 
 DPK_RESIDUAL_TOL = 1e-9
@@ -35,6 +37,19 @@ def _radius_eigenvalue(g: GramMatrix) -> float:
     if lam_min <= EIGENVALUE_FLOOR:
         raise ValueError(f"Gram matrix is numerically singular (lambda_min = {lam_min:.3e})")
     return lam_min
+
+
+def _built_gram(g: np.ndarray, lam_min: float) -> GramMatrix:
+    """GramMatrix of a G built in this module, whose smallest eigenvalue
+    lam_min is known in closed form.
+
+    Runs GramMatrix's finiteness check and exact symmetrization, so G's
+    bits and that error are unchanged, but not its symmetry test (G is
+    symmetric up to gemm rounding) or its eigensolve.
+    """
+    if not np.all(np.isfinite(g)):
+        raise ValueError("Gram matrix entries must be finite")
+    return _unchecked(GramMatrix, entries=_freeze(0.5 * (g + g.T)), min_eigenvalue=lam_min)
 
 
 def _check_power(power: float) -> float:
@@ -77,13 +92,19 @@ class MimoChannel:
 
 
 def build_gram_single(h, power: float) -> GramMatrix:
-    """G = (1 + P|h|^2) I - P h h^T for a single receive antenna."""
+    """G = (1 + P|h|^2) I - P h h^T for a single receive antenna.
+
+    G's eigenvalues are 1 (along h) and 1 + P|h|^2, so min_eigenvalue
+    is 1 and no eigensolve runs; entries that overflow a float raise
+    ValueError, as GramMatrix's own check does.
+    """
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries
-    scale = 1.0 + power * float(hv @ hv)
-    g = scale * np.eye(h.n) - power * np.outer(hv, hv)
-    return GramMatrix(g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0 + power * float(hv @ hv)
+        g = scale * np.eye(h.n) - power * np.outer(hv, hv)
+    return _built_gram(g, 1.0)
 
 
 def dpk_from_single(h, power: float) -> DpkDecomposition:
@@ -108,7 +129,17 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
 
     Eigenpairs of H H^T with eigenvalue below 1e-12 contribute nothing
     and are dropped; if all are dropped (zero channel) the Gram matrix
-    is the identity and the decomposition is None.
+    is the identity and the decomposition is None.  The one eigensolve
+    of H H^T decides every invariant, and neither GramMatrix's nor
+    DpkDecomposition's checks run again: G = I - W diag(s) W^T, s_i = P
+    g_i^2 / (1 + P g_i^2), has eigenvalues 1 - s_i = 1 / (1 + P g_i^2)
+    and 1, so min_eigenvalue is 1 - s_max; V = W diag(s)^1/2
+    with d = 1 has singular values sqrt(s_i), on which the rank and
+    definiteness tests of DpkDecomposition run with the same
+    thresholds and messages.  Entries that overflow a float raise
+    ValueError as GramMatrix does.  The returned decomposition keeps a
+    private reference to the returned G, so solve_dpk does not compare
+    the pair again.
     """
     if not isinstance(channel, MimoChannel):
         raise ValueError("expected a MimoChannel")
@@ -123,21 +154,31 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     w = vectors[:, ::-1][:, :k][:, keep]
     gains2 = gains2[keep]
     if gains2.size == 0:
-        return GramMatrix(np.eye(n)), None
-    shrink = power * gains2 / (1.0 + power * gains2)
-    g = np.eye(n) - (w * shrink) @ w.T
-    v = w * np.sqrt(shrink)
-    return GramMatrix(g), DpkDecomposition(d=np.ones(n), v=v)
+        return _built_gram(np.eye(n), 1.0), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        shrink = power * gains2 / (1.0 + power * gains2)
+    # 1 - s_max, not 1 / (1 + P g_max^2): the same value, but rounded as
+    # G's own entries are, so a diagonal G keeps min G_jj / lambda_min = 1
+    g = _built_gram(np.eye(n) - (w * shrink) @ w.T, float(1.0 - shrink[0]))
+    sv = np.sqrt(shrink)
+    # V's singular values, largest first: DpkDecomposition's two tests
+    if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:
+        raise ValueError("V must have full column rank")
+    if not sv[0] < 1.0:
+        raise ValueError("diag(d) - V V^T is not positive definite")
+    dec = _unchecked(DpkDecomposition, d=_freeze(np.ones(n)), v=_freeze(w * sv), _gram=g)
+    return g, dec
 
 
 def validate_dpk(g, dec: DpkDecomposition) -> bool:
     """Check that diag(d) - V V^T reproduces G entrywise.
 
-    The only place the pair is compared: the difference is formed
-    densely and its largest entrywise deviation from G must be at most
-    1e-9 times max(1, largest |G| entry); returns False otherwise.  A
-    dec that is not a DpkDecomposition, or whose n differs from G's,
-    raises ValueError.
+    The difference is formed densely and its largest entrywise
+    deviation from G must be at most 1e-9 times max(1, largest |G|
+    entry); returns False otherwise.  A dec that is not a
+    DpkDecomposition, or whose n differs from G's, raises ValueError.
+    solve_dpk calls it on every pair except the one build_gram_mimo
+    returned together, which both come from the same eigenpairs.
     """
     g = as_gram_matrix(g)
     if not isinstance(dec, DpkDecomposition):

@@ -15,7 +15,13 @@ import time
 
 import numpy as np
 
-from .core import CoefficientVector, SolverResult, as_gram_matrix, quad_objective
+from .core import (
+    CoefficientVector,
+    SolverResult,
+    as_gram_matrix,
+    quad_objective,
+    _check_budget,
+)
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue
 
@@ -129,9 +135,11 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     ball and ellipsoid that were scored.  Ties keep the first vector in
     lexicographic order, so the result is deterministic.  Raises
     ResourceBudgetError when the ball's estimated point count, an
-    upper bound on that work, exceeds budget.
+    upper bound on that work, exceeds budget, and ValueError if budget
+    is below 1.
     """
     t0 = time.perf_counter()
+    _check_budget(budget)
     g = as_gram_matrix(g)
     radius = float(radius)
     # the search works on radius^2, which must not overflow

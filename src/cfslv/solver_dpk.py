@@ -27,6 +27,7 @@ from .core import (
     SolverResult,
     as_gram_matrix,
     _best_unit_vector,
+    _check_budget,
     _freeze,
     _solver_result,
 )
@@ -192,8 +193,11 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
               budget: int | None = DEFAULT_COMBINATION_BUDGET) -> SolverResult:
     """Exact minimizer of a^T G a using the low-rank structure of G.
 
-    dec must reproduce g to a 1e-9 relative tolerance (checked).  A
-    None decomposition is accepted only for diagonal g, where the best
+    dec must reproduce g to a 1e-9 relative tolerance, checked by
+    validate_dpk unless g and dec are the pair one build_gram_mimo call
+    returned, which come from the same eigenpairs and are not compared
+    again; any other g, dec or mix of the two is compared.  A None
+    decomposition is accepted only for diagonal g, where the best
     unit vector is already optimal.  For k = 1 the candidates are the
     roundings of x v / d on the open intervals between the x > 0
     crossings, swept as in solve_single (see _rank_one_sweep), and
@@ -208,9 +212,11 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     for k >= 2.  Raises ResourceBudgetError if the vertex bound C(n, k)
     (2 ceil(psi) + 2)^k exceeds budget, checked once before either
     search, and for k >= 2 if the number of vertex subsets
-    C(#vertices, k+1) or of candidates does.
+    C(#vertices, k+1) or of candidates does, and ValueError if budget is
+    below 1.
     """
     t0 = time.perf_counter()
+    _check_budget(budget)
     g = as_gram_matrix(g)
     g_arr = g.entries
 
@@ -224,7 +230,8 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         if np.any(off != 0.0):
             raise ValueError("a decomposition is required unless the Gram matrix is diagonal")
     else:
-        if not validate_dpk(g, dec):
+        built = isinstance(dec, DpkDecomposition) and dec._gram is g
+        if not built and not validate_dpk(g, dec):
             raise ValueError("decomposition does not reproduce the Gram matrix")
         # the bound is >= 1 mathematically; rounding in the eigensolve
         # must not be allowed to truncate the half-integer range

@@ -17,7 +17,13 @@ import time
 
 import numpy as np
 
-from .core import SolverResult, as_channel_vector, _best_unit_vector, _solver_result
+from .core import (
+    SolverResult,
+    as_channel_vector,
+    _best_unit_vector,
+    _check_budget,
+    _solver_result,
+)
 from .errors import ResourceBudgetError
 from .gram import _check_power
 
@@ -58,9 +64,10 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     best objective (ties resolve to the smallest x, and a unit vector
     wins any tie).  Raises ResourceBudgetError if the worst-case
     breakpoint count n * (2 ceil(psi) + 2) exceeds budget, and
-    ValueError if 1 + P|h|^2 overflows a float.
+    ValueError if budget is below 1 or 1 + P|h|^2 overflows a float.
     """
     t0 = time.perf_counter()
+    _check_budget(budget)
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries

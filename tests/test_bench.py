@@ -94,6 +94,15 @@ def test_run_trial_mimo_mode():
     assert rec.rate_bits >= 0.0
 
 
+def test_run_trial_at_extreme_power_fails_with_value_error():
+    # P g^2 / (1 + P g^2) rounds to 1 for every draw at this power
+    config = BenchConfig(mode="mimo", trials=5, n_range=(3, 3), power_range=(1e17, 1e17),
+                         seed=5, k=2, oracle=True)
+    for trial_id in range(config.trials):
+        with pytest.raises(ValueError, match="not positive definite"):
+            run_trial(config, trial_id)
+
+
 def test_run_bench_matches_individual_trials(monkeypatch):
     monkeypatch.setenv("CFSLV_THREADS", "1")
     result = run_bench(SINGLE_CFG)

@@ -130,6 +130,32 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "mimo", "oracle", "bench"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_nonpositive_budget_is_input_error(tmp_path, capsys, command, budget):
+    (tmp_path / "M.txt").write_text("2 2\n3 -2\n-2 3\n")
+    args = {
+        "solve": ["--h", "1,2", "--power", "1"],
+        "mimo": ["--H", str(tmp_path / "M.txt"), "--power", "1"],
+        "oracle": ["--gram", str(tmp_path / "M.txt"), "--radius", "2"],
+        "bench": ["--trials", "1", "--n-range", "2:2", "--power-range", "1:1", "--seed", "1"],
+    }[command]
+    code, out, err = run_cli([command, *args, "--budget", budget], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be positive\n"
+
+
+def test_extreme_power_mimo_is_input_error(tmp_path, capsys):
+    # LAPACK's smallest eigenvalue of this G is -8e-18
+    path = tmp_path / "H.txt"
+    path.write_text("3 2\n1 0\n0 1\n1 1\n")
+    code, out, err = run_cli(["mimo", "--H", str(path), "--power", "1e17"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: diag(d) - V V^T is not positive definite\n"
+
+
 def test_overflowing_channel_is_input_error(capsys):
     code, out, err = run_cli(["solve", "--h", "1e200,1", "--power", "1"], capsys)
     assert code == 2

@@ -1,10 +1,13 @@
 """Gram construction, decompositions, and the search-radius bound."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cfslv.core import DpkDecomposition, GramMatrix
 from cfslv.gram import (
+    EIGENVALUE_FLOOR,
     MimoChannel,
     build_gram_mimo,
     build_gram_single,
@@ -45,6 +48,13 @@ def test_single_min_eigenvalue_is_one():
         g = build_gram_single(h, power)
         lam_min = np.linalg.eigvalsh(g.entries)[0]
         assert abs(lam_min - 1.0) <= 1e-9
+        assert g.min_eigenvalue == 1.0
+        assert np.array_equal(GramMatrix(g.entries).entries, g.entries)
+
+
+def test_single_overflow_is_rejected():
+    with pytest.raises(ValueError, match="^Gram matrix entries must be finite$"):
+        build_gram_single([1e200, 1.0], 1.0)
 
 
 def test_dpk_from_single_values():
@@ -134,6 +144,100 @@ def test_mimo_self_consistency_random():
         assert validate_dpk(gram, dec)
         lam = np.linalg.eigvalsh(gram.entries)
         assert lam[-1] <= 1.0 + 1e-12 and lam[0] > 0.0
+
+
+def _public_build(channel):
+    """build_gram_mimo through the public constructors, the reference
+    for its own checks: the same eigenpairs of H H^T, then GramMatrix
+    and DpkDecomposition.  Returns (G, dec) or the ValueError message."""
+    h, power, k = channel.h_matrix, channel.power, channel.k
+    outer = h @ h.T
+    values, vectors = np.linalg.eigh(0.5 * (outer + outer.T))
+    gains2 = values[::-1][:k]
+    keep = gains2 > EIGENVALUE_FLOOR
+    w = vectors[:, ::-1][:, :k][:, keep]
+    gains2 = gains2[keep]
+    try:
+        if gains2.size == 0:
+            return GramMatrix(np.eye(channel.n)), None
+        shrink = power * gains2 / (1.0 + power * gains2)
+        g = GramMatrix(np.eye(channel.n) - (w * shrink) @ w.T)
+        return g, DpkDecomposition(d=np.ones(channel.n), v=w * np.sqrt(shrink))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _agreement_channels():
+    rng = np.random.default_rng(41)
+    for kind in ("gaussian", "rank-deficient", "zero-column", "wide-range", "high-power"):
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, min(n, 3) + 1))
+            h = rng.standard_normal((n, k))
+            power = float(np.exp(rng.uniform(np.log(0.1), np.log(20.0))))
+            if kind == "rank-deficient":
+                h = rng.standard_normal((n, 1)) @ rng.standard_normal((1, k))
+            elif kind == "zero-column":
+                h[:, rng.integers(k)] = 0.0
+            elif kind == "wide-range":
+                h *= 10.0 ** rng.uniform(-6.0, 6.0, (n, k))
+                power = float(10.0 ** rng.uniform(-10.0, 2.0))
+            elif kind == "high-power":
+                power = float(10.0 ** rng.uniform(2.0, 9.0))
+            yield MimoChannel(h_matrix=h, power=power)
+    # V's singular values 0.995 and 3.2e-11: rank deficient by the 1e-10 ratio test
+    yield MimoChannel(h_matrix=np.array([[1e6, 0.0], [0.0, 3.2e-6], [0.0, 0.0]]), power=1e-10)
+
+
+def test_built_pair_agrees_with_the_public_checks():
+    outcomes = {"accepted": 0, "rejected": 0}
+    for channel in _agreement_channels():
+        reference = _public_build(channel)
+        try:
+            g, dec = build_gram_mimo(channel)
+        except ValueError as exc:
+            assert str(exc) == reference
+            outcomes["rejected"] += 1
+            continue
+        outcomes["accepted"] += 1
+        ref_g, ref_dec = reference
+        assert np.array_equal(GramMatrix(g.entries).entries, g.entries)
+        assert g.entries.tobytes() == ref_g.entries.tobytes()
+        if dec is None:
+            assert ref_dec is None and g.min_eigenvalue == 1.0
+            continue
+        public = DpkDecomposition(d=dec.d, v=dec.v)
+        for ours, theirs in ((dec.d, public.d), (dec.v, public.v), (dec.v, ref_dec.v)):
+            assert ours.tobytes() == theirs.tobytes()
+        assert validate_dpk(g, dec)
+        # min_eigenvalue and LAPACK's value both lie within a few n eps
+        # max(1, |G|) of the smallest eigenvalue of the G built: it is formed
+        # as I - W S W^T, so its rounding is relative to |I| = 1 even when G
+        # itself is small
+        tol = 10 * g.n * np.finfo(float).eps * max(1.0, np.linalg.norm(g.entries))
+        assert abs(g.min_eigenvalue - np.linalg.eigvalsh(g.entries)[0]) <= tol
+    assert outcomes["rejected"] >= 1 and outcomes["accepted"] >= 150
+
+
+def test_rank_deficient_decomposition_message():
+    channel = MimoChannel(h_matrix=np.array([[1e6, 0.0], [0.0, 3.2e-6], [0.0, 0.0]]), power=1e-10)
+    with pytest.raises(ValueError, match="^V must have full column rank$"):
+        build_gram_mimo(channel)
+
+
+# P g_max^2 = 3 P for this channel; LAPACK puts G's smallest eigenvalue
+# at -8e-18 for P >= 1e16, where P g^2 / (1 + P g^2) rounds to 1
+EXTREME_H = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("power, message", [
+    (1e15, "Gram matrix is numerically singular"),
+    (1e17, "diag(d) - V V^T is not positive definite"),
+])
+def test_extreme_power_still_fails(power, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        gram, _ = build_gram_mimo(MimoChannel(h_matrix=EXTREME_H, power=power))
+        search_radius_psi(gram)
 
 
 def test_mimo_channel_validation():

@@ -152,6 +152,12 @@ def test_budget_error_on_huge_search_space():
         brute_force_slv(g, 200.0, budget=10**6)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_nonpositive_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="^budget must be positive$"):
+        brute_force_slv(GramMatrix(np.eye(2)), 2.0, budget=budget)
+
+
 def test_ball_estimate_monotone_in_radius():
     lo = ball_point_estimate(4, 2.0)
     hi = ball_point_estimate(4, 4.0)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import cfslv.solver_dpk
 from cfslv.core import DpkDecomposition, GramMatrix, quadratic_form
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import (
@@ -14,6 +15,7 @@ from cfslv.gram import (
     build_gram_single,
     dpk_from_single,
     search_radius_psi,
+    validate_dpk,
 )
 from cfslv.oracle import brute_force_slv, certification_radius
 from cfslv.solver_dpk import _vertex_cells, _vertex_set, solve_dpk
@@ -117,6 +119,47 @@ def test_solve_rejects_wrong_decomposition():
 def test_solve_rejects_non_decomposition():
     with pytest.raises(ValueError, match="expected a DpkDecomposition"):
         solve_dpk(GramMatrix(np.eye(2)), 5)
+
+
+def test_built_decomposition_with_another_gram_is_compared():
+    rng = np.random.default_rng(83)
+    _, dec = build_gram_mimo(MimoChannel(h_matrix=rng.standard_normal((4, 2)), power=1.0))
+    other, _ = build_gram_mimo(MimoChannel(h_matrix=rng.standard_normal((4, 2)), power=1.0))
+    with pytest.raises(ValueError, match="^decomposition does not reproduce the Gram matrix$"):
+        solve_dpk(other, dec)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    calls = []
+
+    def counting(g, dec):
+        calls.append(dec)
+        return validate_dpk(g, dec)
+
+    monkeypatch.setattr(cfslv.solver_dpk, "validate_dpk", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_only_the_built_pair_skips_validation(k, validate_calls):
+    h = np.random.default_rng(89 + k).standard_normal((3, k))
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=0.7))
+    built = solve_dpk(gram, dec)
+    assert validate_calls == []
+    for g, d in ((GramMatrix(gram.entries), dec), (gram, DpkDecomposition(d=dec.d, v=dec.v))):
+        res = solve_dpk(g, d)
+        assert len(validate_calls) == 1
+        validate_calls.clear()
+        assert np.array_equal(res.a_star.entries, built.a_star.entries)
+        assert res.f_star.hex() == built.f_star.hex()
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_nonpositive_budget_is_rejected(budget):
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array([[1.0], [1.0]]), power=2.0))
+    with pytest.raises(ValueError, match="^budget must be positive$"):
+        solve_dpk(gram, dec, budget=budget)
 
 
 def test_solve_zero_mimo_channel_falls_back_to_unit():

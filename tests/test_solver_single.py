@@ -185,3 +185,9 @@ def test_budget_error_for_huge_psi():
 def test_budget_none_disables_guard():
     res = solve_single([1.0], 25.0, budget=None)
     assert res.f_star == 1.0
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_nonpositive_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="^budget must be positive$"):
+        solve_single([1.0, 2.0], 1.0, budget=budget)
