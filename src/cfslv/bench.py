@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -25,12 +25,6 @@ from .solver_dpk import solve_dpk
 from .solver_single import solve_single
 
 MATCH_RTOL = 1e-9
-
-CSV_FIELDS = (
-    "trial_id", "n", "k", "power", "seed", "f_alg", "f_oracle",
-    "rate_bits", "elapsed_alg_s", "elapsed_oracle_s", "match",
-)
-_TIMING_FIELDS = ("elapsed_alg_s", "elapsed_oracle_s")
 
 
 @dataclass(frozen=True)
@@ -48,6 +42,9 @@ class TrialRecord:
     elapsed_alg_s: float
     elapsed_oracle_s: float
     match: bool | None
+
+
+CSV_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -201,20 +198,27 @@ def summarize(records: list[TrialRecord], candidates: list[int]) -> dict:
     }
 
 
-def summary_line(summary: dict, zero_timing: bool = False) -> str:
-    """One-line campaign summary; zero_timing prints the mean times as 0."""
+def without_timing(result: BenchResult) -> BenchResult:
+    """result with elapsed_alg_s and elapsed_oracle_s set to 0.0 in every
+    record and the summary recomputed from those records, so its reports
+    are byte-reproducible (what cfslv bench --no-timing writes).  The
+    input is left unchanged."""
+    records = [replace(r, elapsed_alg_s=0.0, elapsed_oracle_s=0.0) for r in result.records]
+    return replace(result, records=records, summary=summarize(records, result.candidates))
+
+
+def summary_line(summary: dict) -> str:
+    """One-line campaign summary of a summarize() dict."""
     rate = summary["match_rate"]
     rate_text = "n/a" if rate is None else format(rate, ".6f")
-    alg_s, oracle_s = (0.0, 0.0) if zero_timing else (
-        summary["mean_elapsed_alg_s"], summary["mean_elapsed_oracle_s"])
     return (
         f"trials={summary['trials']}"
         f" certified={summary['certified']}"
         f" matched={summary['matched']}"
         f" match_rate={rate_text}"
         f" mean_candidates={format(summary['mean_candidates'], '.6g')}"
-        f" mean_elapsed_alg_s={format(alg_s, '.6g')}"
-        f" mean_elapsed_oracle_s={format(oracle_s, '.6g')}"
+        f" mean_elapsed_alg_s={format(summary['mean_elapsed_alg_s'], '.6g')}"
+        f" mean_elapsed_oracle_s={format(summary['mean_elapsed_oracle_s'], '.6g')}"
     )
 
 
@@ -222,39 +226,29 @@ def any_mismatch(records: list[TrialRecord]) -> bool:
     return any(r.match is False for r in records)
 
 
-def _field_text(value) -> str:
+def field_text(value) -> str:
+    """Text of one report value, for CSV cells and CLI documents alike:
+    None is empty, a bool true/false, an integer its digits, a str
+    itself, anything else a float with 17 significant digits."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, str):
+        return value
     return format(float(value), ".17g")
 
 
-def _record_values(record: TrialRecord, zero_timing: bool) -> list:
-    values = []
-    for field in CSV_FIELDS:
-        value = getattr(record, field)
-        if zero_timing and field in _TIMING_FIELDS:
-            value = 0.0
-        values.append(value)
-    return values
-
-
-def render_csv(records: list[TrialRecord], zero_timing: bool = False) -> str:
-    """Report as CSV text; floats use 17 significant digits."""
+def render_csv(records: list[TrialRecord]) -> str:
+    """Report as CSV text: a CSV_FIELDS header, then one field_text row
+    per record."""
     lines = [",".join(CSV_FIELDS)]
-    for record in records:
-        lines.append(",".join(_field_text(v) for v in _record_values(record, zero_timing)))
+    lines += [",".join(map(field_text, astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
 
 
-def render_json(records: list[TrialRecord], zero_timing: bool = False) -> str:
+def render_json(records: list[TrialRecord]) -> str:
     """Report as a JSON array of row objects, keys in CSV column order."""
-    rows = []
-    for record in records:
-        values = _record_values(record, zero_timing)
-        rows.append({field: value for field, value in zip(CSV_FIELDS, values)})
-    return json.dumps(rows, indent=2) + "\n"
-
+    return json.dumps([asdict(r) for r in records], indent=2) + "\n"

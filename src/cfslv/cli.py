@@ -21,10 +21,12 @@ import numpy as np
 from .bench import (
     BenchConfig,
     any_mismatch,
+    field_text,
     render_csv,
     render_json,
     run_bench,
     summary_line,
+    without_timing,
 )
 from .core import CoefficientVector, GramMatrix
 from .errors import ResourceBudgetError
@@ -80,20 +82,11 @@ def read_matrix(path: str) -> np.ndarray:
     return values.reshape(n, k)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def print_document(pairs: list[tuple[str, object]], stream=None) -> None:
-    stream = stream or sys.stdout
+def print_document(pairs: list[tuple[str, object]]) -> None:
+    """Write each (key, value) pair to stdout as one "key value" line,
+    the value as field_text writes a report cell."""
     for key, value in pairs:
-        stream.write(f"{key} {_fmt(value)}\n")
+        sys.stdout.write(f"{key} {field_text(value)}\n")
 
 
 def _int_csv(entries: np.ndarray) -> str:
@@ -194,9 +187,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     result = run_bench(config)
+    if args.no_timing:
+        result = without_timing(result)
     render = render_json if args.format == "json" else render_csv
-    report = render(result.records, zero_timing=args.no_timing)
-    summary = summary_line(result.summary, zero_timing=args.no_timing)
+    report = render(result.records)
+    summary = summary_line(result.summary)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(report)

@@ -88,7 +88,8 @@ class GramMatrix:
     matrix a caller passes in.  build_gram_single and build_gram_mimo
     skip them: they check finiteness and symmetrize the same way, and
     take min_eigenvalue from the closed-form spectrum of the G they
-    built.
+    built (build_gram_single runs them when rounding could make its G
+    indefinite).
     """
 
     entries: np.ndarray
@@ -115,6 +116,15 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_dpk_spectrum(sv: np.ndarray) -> None:
+    """DpkDecomposition's rank and definiteness tests on the singular
+    values sv of W = diag(d)^-1/2 V, largest first."""
+    if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:
+        raise ValueError("V must have full column rank")
+    if not sv[0] < 1.0:
+        raise ValueError("diag(d) - V V^T is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,7 @@ class DpkDecomposition:
             raise ValueError("decomposition entries must be finite")
         if not np.all(d > 0.0):
             raise ValueError("diagonal entries must be strictly positive")
-        sv = np.linalg.svd(v / np.sqrt(d)[:, None], compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:
-            raise ValueError("V must have full column rank")
-        if not sv[0] < 1.0:
-            raise ValueError("diag(d) - V V^T is not positive definite")
+        _check_dpk_spectrum(np.linalg.svd(v / np.sqrt(d)[:, None], compute_uv=False))
         object.__setattr__(self, "d", _freeze(d))
         object.__setattr__(self, "v", _freeze(v))
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    RANK_SV_RTOL,
     ChannelVector,
     DpkDecomposition,
     GramMatrix,
     as_channel_vector,
     as_gram_matrix,
+    _check_dpk_spectrum,
     _freeze,
     _unchecked,
 )
@@ -95,8 +95,11 @@ def build_gram_single(h, power: float) -> GramMatrix:
     """G = (1 + P|h|^2) I - P h h^T for a single receive antenna.
 
     G's eigenvalues are 1 (along h) and 1 + P|h|^2, so min_eigenvalue
-    is 1 and no eigensolve runs; entries that overflow a float raise
-    ValueError, as GramMatrix's own check does.
+    is 1 and no eigensolve runs, unless rounding G's entries, about
+    n eps (1 + P|h|^2), can reach a quarter of that eigenvalue 1: then
+    G is checked as GramMatrix checks any matrix, and a rounded G that
+    is not positive definite raises ValueError.  Entries that overflow a
+    float raise ValueError, as GramMatrix's own check does.
     """
     h = as_channel_vector(h)
     power = _check_power(power)
@@ -104,6 +107,8 @@ def build_gram_single(h, power: float) -> GramMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         scale = 1.0 + power * float(hv @ hv)
         g = scale * np.eye(h.n) - power * np.outer(hv, hv)
+    if h.n * np.finfo(float).eps * scale >= 0.25:
+        return GramMatrix(g)
     return _built_gram(g, 1.0)
 
 
@@ -160,12 +165,8 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     # 1 - s_max, not 1 / (1 + P g_max^2): the same value, but rounded as
     # G's own entries are, so a diagonal G keeps min G_jj / lambda_min = 1
     g = _built_gram(np.eye(n) - (w * shrink) @ w.T, float(1.0 - shrink[0]))
-    sv = np.sqrt(shrink)
-    # V's singular values, largest first: DpkDecomposition's two tests
-    if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:
-        raise ValueError("V must have full column rank")
-    if not sv[0] < 1.0:
-        raise ValueError("diag(d) - V V^T is not positive definite")
+    sv = np.sqrt(shrink)  # V's singular values, largest first
+    _check_dpk_spectrum(sv)
     dec = _unchecked(DpkDecomposition, d=_freeze(np.ones(n)), v=_freeze(w * sv), _gram=g)
     return g, dec
 

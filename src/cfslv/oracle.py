@@ -15,13 +15,7 @@ import time
 
 import numpy as np
 
-from .core import (
-    CoefficientVector,
-    SolverResult,
-    as_gram_matrix,
-    quad_objective,
-    _check_budget,
-)
+from .core import SolverResult, as_gram_matrix, _check_budget, _solver_result
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue
 
@@ -153,12 +147,4 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     best_a, evaluated = _ellipsoid_search(g.entries, radius)
     if best_a is None:
         raise AssertionError("radius >= 1 guarantees at least one candidate")
-    a = CoefficientVector(best_a)
-    return SolverResult(
-        a_star=a,
-        f_star=quad_objective(g.entries, a.entries),
-        candidates_evaluated=evaluated,
-        breakpoint_count=0,
-        elapsed_seconds=time.perf_counter() - t0,
-        witness_point=None,
-    )
+    return _solver_result(g.entries, np.array(best_a), None, t0, evaluated, 0)

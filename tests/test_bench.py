@@ -11,6 +11,8 @@ import cfslv.bench
 from cfslv.bench import (
     BenchConfig,
     CSV_FIELDS,
+    BenchResult,
+    field_text,
     match_within_tolerance,
     render_csv,
     render_json,
@@ -20,6 +22,7 @@ from cfslv.bench import (
     summarize,
     summary_line,
     trial_rng,
+    without_timing,
 )
 
 SINGLE_CFG = BenchConfig(mode="single", trials=10, n_range=(2, 4),
@@ -118,8 +121,8 @@ def test_run_bench_parallel_equals_serial(monkeypatch):
     serial = run_bench(SINGLE_CFG)
     monkeypatch.setenv("CFSLV_THREADS", "2")
     parallel = run_bench(SINGLE_CFG)
-    assert render_csv(serial.records, zero_timing=True) == \
-        render_csv(parallel.records, zero_timing=True)
+    assert render_csv(without_timing(serial).records) == \
+        render_csv(without_timing(parallel).records)
     assert serial.candidates == parallel.candidates
 
 
@@ -177,21 +180,62 @@ def test_csv_layout_and_roundtrip(monkeypatch):
     assert row[10] in ("true", "false")
 
 
+def _result_of(*trial_ids):
+    outcomes = [run_trial(SINGLE_CFG, i) for i in trial_ids]
+    records = [rec for rec, _ in outcomes]
+    candidates = [cand for _, cand in outcomes]
+    return BenchResult(records=records, candidates=candidates,
+                       summary=summarize(records, candidates))
+
+
 def test_csv_zero_timing():
-    rec, _ = run_trial(SINGLE_CFG, 1)
-    text = render_csv([rec], zero_timing=True)
+    text = render_csv(without_timing(_result_of(1)).records)
     row = text.strip().split("\n")[1].split(",")
     assert row[8] == "0" and row[9] == "0"
 
 
 def test_json_rendering():
     rec, _ = run_trial(SINGLE_CFG, 2)
-    rows = json.loads(render_json([rec], zero_timing=True))
+    rows = json.loads(render_json(without_timing(_result_of(2)).records))
     assert len(rows) == 1
     assert list(rows[0].keys()) == list(CSV_FIELDS)
     assert rows[0]["f_alg"] == rec.f_alg
     assert rows[0]["elapsed_alg_s"] == 0.0
     assert rows[0]["match"] is True
+
+
+def test_without_timing_zeroes_both_elapsed_fields_in_csv_and_json():
+    result = without_timing(_result_of(0, 1, 2))
+    for row in render_csv(result.records).strip().split("\n")[1:]:
+        cells = row.split(",")
+        assert cells[8] == "0" and cells[9] == "0"
+    for row in json.loads(render_json(result.records)):
+        assert row["elapsed_alg_s"] == 0.0 and row["elapsed_oracle_s"] == 0.0
+
+
+def test_without_timing_keeps_other_fields_and_its_input():
+    result = _result_of(0, 1, 2)
+    before = dataclasses.replace(result, records=list(result.records),
+                                 candidates=list(result.candidates), summary=dict(result.summary))
+    stripped = without_timing(result)
+    assert result == before
+    assert all(r.elapsed_alg_s > 0.0 and r.elapsed_oracle_s > 0.0 for r in result.records)
+    assert stripped.candidates == result.candidates
+    for old, new in zip(result.records, stripped.records):
+        assert new == dataclasses.replace(old, elapsed_alg_s=0.0, elapsed_oracle_s=0.0)
+    timed = ("mean_elapsed_alg_s", "mean_elapsed_oracle_s")
+    assert {k: v for k, v in stripped.summary.items() if k not in timed} == \
+        {k: v for k, v in result.summary.items() if k not in timed}
+
+
+def test_without_timing_summary_line():
+    line = summary_line(without_timing(_result_of(0, 1)).summary)
+    assert line.endswith(" mean_elapsed_alg_s=0 mean_elapsed_oracle_s=0")
+
+
+def test_field_text():
+    values = [None, True, np.int64(3), "1,-1", 0.1]
+    assert [field_text(v) for v in values] == ["", "true", "3", "1,-1", "0.10000000000000001"]
 
 
 def test_match_tolerance_boundary():

@@ -2,10 +2,13 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cfslv.cli import main, parse_vector, read_matrix
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, capsys):
@@ -46,6 +49,26 @@ def test_solve_no_timing_zeroes_elapsed(capsys):
     code, out, _ = run_cli(["solve", "--h", "1,2", "--power", "3", "--no-timing"], capsys)
     assert code == 0
     assert parse_document(out)["elapsed_s"] == "0"
+
+
+def readme_transcript(command):
+    """The output printed under "$ command" in README.md, unindented."""
+    lines = README.read_text(encoding="utf-8").split("\n")
+    start = lines.index(f"    $ {command}") + 1
+    end = lines.index("", start)
+    return "".join(line.removeprefix("    ") + "\n" for line in lines[start:end])
+
+
+@pytest.mark.parametrize("command", [
+    "cfslv solve --h 1.2,-0.7,2.1 --power 10 --no-timing",
+    "cfslv oracle --gram gram.txt --radius 3.5 --no-timing",
+])
+def test_readme_transcript(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "gram.txt").write_text("2 2\n3 -2\n-2 3\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(command.split()[1:], capsys)
+    assert (code, err) == (0, "")
+    assert out == readme_transcript(command)
 
 
 def test_rate_document(capsys):

@@ -57,6 +57,17 @@ def test_single_overflow_is_rejected():
         build_gram_single([1e200, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("h, power, lam_min", [
+    ([1.0, 2.0, 3.0], 1e15, "-1.250e-01"),
+    ([1e8, 3e7, 1.0], 1.0, "-7.500e-01"),
+])
+def test_single_rounded_indefinite_is_rejected(h, power, lam_min):
+    # n eps (1 + P|h|^2) exceeds 1: rounding G's entries loses the eigenvalue 1
+    message = f"Gram matrix is not positive definite (smallest eigenvalue {lam_min})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_gram_single(h, power)
+
+
 def test_dpk_from_single_values():
     dec = dpk_from_single([1.0, 1.0], 2.0)
     assert dec.d.tolist() == [5.0, 5.0]
