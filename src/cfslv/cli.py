@@ -28,7 +28,7 @@ from .bench import (
     summary_line,
     without_timing,
 )
-from .core import CoefficientVector, GramMatrix
+from .core import CoefficientVector, GramMatrix, SolverResult
 from .errors import ResourceBudgetError
 from .gram import MimoChannel, build_gram_mimo, build_gram_single
 from .oracle import brute_force_slv
@@ -93,6 +93,11 @@ def _int_csv(entries: np.ndarray) -> str:
     return ",".join(str(int(v)) for v in entries)
 
 
+def _elapsed(args: argparse.Namespace, res: SolverResult) -> tuple[str, float]:
+    """The elapsed_s line of a one-off solve: 0.0 under --no-timing."""
+    return ("elapsed_s", 0.0 if args.no_timing else res.elapsed_seconds)
+
+
 def _parse_range(text: str, kind: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
@@ -117,7 +122,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ("rate_bits", rate_from_objective(res.f_star, h, args.power)),
         ("breakpoint_count", res.breakpoint_count),
         ("candidates_evaluated", res.candidates_evaluated),
-        ("elapsed_s", 0.0 if args.no_timing else res.elapsed_seconds),
+        _elapsed(args, res),
     ])
     return EXIT_OK
 
@@ -138,7 +143,7 @@ def cmd_mimo(args: argparse.Namespace) -> int:
         ("rate_bits", max(0.0, -0.5 * math.log2(res.f_star))),
         ("vertex_count", res.breakpoint_count),
         ("candidates_evaluated", res.candidates_evaluated),
-        ("elapsed_s", 0.0 if args.no_timing else res.elapsed_seconds),
+        _elapsed(args, res),
     ])
     return EXIT_OK
 
@@ -157,7 +162,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         ("f_star", res.f_star),
         ("a_star", _int_csv(res.a_star.entries)),
         ("candidates_evaluated", res.candidates_evaluated),
-        ("elapsed_s", 0.0 if args.no_timing else res.elapsed_seconds),
+        _elapsed(args, res),
     ])
     return EXIT_OK
 

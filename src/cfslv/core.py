@@ -184,7 +184,10 @@ class SolverResult:
     that certifies it (None when a unit vector won outright): for
     solve_single an interval midpoint with round(x h) = a_star; for
     solve_dpk |diag(d)^-1 V x - a_star| <= 1/2 entrywise, with x the
-    interval midpoint of the sweep for k = 1 and a vertex for k >= 2.
+    interval midpoint of the sweep for k = 1 and, for k >= 2, a vertex
+    of the hyperplane arrangement that bounds the cell: among the
+    vertices whose cells tie on G, the first lexicographically on the
+    1e-9 grid.
     """
 
     a_star: CoefficientVector

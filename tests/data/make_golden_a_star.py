@@ -5,8 +5,12 @@ Usage, from the repository root:
     PYTHONPATH=src python tests/data/make_golden_a_star.py > tests/data/golden_a_star.json
 
 Each instance is drawn from cfslv.bench.trial_rng(seed, 0) and solved by
-solve_single (single antenna) or build_gram_mimo + solve_dpk (MIMO);
-the oracle certifies every result.  Floats are stored as float.hex so
+solve_single (single antenna) or build_gram_mimo + solve_dpk (MIMO, with
+no budget, so that no rank-k instance is refused); the oracle certifies
+every result.  The rank-k families mimo-k2-halfint, mimo-k2-parallel
+and mimo-k3 pin degenerate arrangements: half-integer channels put
+three or more hyperplanes through one vertex, and a repeated or negated
+row of H makes two hyperplanes coincide.  Floats are stored as float.hex so
 the file is exact.  tests/test_golden.py re-solves the stored instances
 and checks that a_star is unchanged and f_star is within 1e-12 relative.
 """
@@ -16,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+
+import numpy as np
 
 from cfslv.bench import match_within_tolerance, trial_rng
 from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
@@ -29,6 +35,9 @@ FAMILIES = (
     ("single-commensurate", 2000, 40),
     ("mimo-k1", 3000, 30),
     ("mimo-k2", 4000, 30),
+    ("mimo-k2-halfint", 5000, 40),
+    ("mimo-k2-parallel", 6000, 30),
+    ("mimo-k3", 7000, 40),
 )
 
 
@@ -49,15 +58,44 @@ def draw(kind: str, seed: int):
     if kind == "mimo-k1":
         n = int(rng.integers(2, 7))
         return rng.standard_normal((n, 1)), log_uniform(rng, 1.0, 20.0)
-    n = int(rng.integers(2, 4))
-    return rng.standard_normal((n, 2)), log_uniform(rng, 0.5, 4.0)
+    if kind == "mimo-k2":
+        n = int(rng.integers(2, 4))
+        return rng.standard_normal((n, 2)), log_uniform(rng, 0.5, 4.0)
+    if kind == "mimo-k2-halfint":
+        n = int(rng.integers(2, 6))
+        h = full_rank(rng, lambda: rng.integers(-3, 4, (n, 2)) / 2.0)
+        return h, log_uniform(rng, 1.0, 8.0)
+    if kind == "mimo-k2-parallel":
+        n = int(rng.integers(3, 6))
+        h = full_rank(rng, lambda: gaussian_or_halfint(rng, seed, n, 2), parallel=True)
+        return h, log_uniform(rng, 0.5, 4.0)
+    n = int(rng.integers(3, 6))
+    h = full_rank(rng, lambda: gaussian_or_halfint(rng, seed, n, 3))
+    return h, log_uniform(rng, 0.5, 3.0)
+
+
+def gaussian_or_halfint(rng, seed: int, n: int, k: int):
+    """Gaussian entries for odd seeds, half-integers in -3/2..3/2 for even."""
+    return rng.standard_normal((n, k)) if seed % 2 else rng.integers(-3, 4, (n, k)) / 2.0
+
+
+def full_rank(rng, draw_h, parallel: bool = False):
+    """The first draw_h() of full column rank; with parallel, one row is
+    first set to another row or its negation."""
+    while True:
+        h = draw_h()
+        if parallel:
+            i, j = rng.choice(h.shape[0], 2, replace=False)
+            h[j] = h[i] if rng.uniform() < 0.5 else -h[i]
+        if np.linalg.matrix_rank(h) == h.shape[1]:
+            return h
 
 
 def solve(kind: str, h, power: float):
     if kind.startswith("single"):
         return build_gram_single(h, power), solve_single(h, power)
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=power))
-    return gram, solve_dpk(gram, dec)
+    return gram, solve_dpk(gram, dec, budget=None)
 
 
 def main() -> None:

@@ -51,6 +51,22 @@ def test_solve_no_timing_zeroes_elapsed(capsys):
     assert parse_document(out)["elapsed_s"] == "0"
 
 
+@pytest.mark.parametrize("command", ["solve", "mimo", "oracle"])
+def test_no_timing_zeroes_only_elapsed(command, tmp_path, capsys):
+    (tmp_path / "M.txt").write_text("2 2\n1.5 -0.3\n-0.3 1.2\n")
+    args = {
+        "solve": ["solve", "--h", "1,2", "--power", "3"],
+        "mimo": ["mimo", "--H", str(tmp_path / "M.txt"), "--power", "2"],
+        "oracle": ["oracle", "--gram", str(tmp_path / "M.txt"), "--radius", "2"],
+    }[command]
+    timed = parse_document(run_cli(args, capsys)[1])
+    untimed = parse_document(run_cli(args + ["--no-timing"], capsys)[1])
+    assert float(timed["elapsed_s"]) > 0.0
+    assert untimed.pop("elapsed_s") == "0"
+    timed.pop("elapsed_s")
+    assert untimed == timed
+
+
 def readme_transcript(command):
     """The output printed under "$ command" in README.md, unindented."""
     lines = README.read_text(encoding="utf-8").split("\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cfslv.gram import (
     validate_dpk,
 )
 from cfslv.oracle import brute_force_slv, certification_radius
-from cfslv.solver_dpk import _vertex_cells, _vertex_set, solve_dpk
+from cfslv.solver_dpk import _vertex_cells, _vertex_labels, solve_dpk
 from cfslv.solver_single import solve_single
 
 
@@ -26,8 +27,16 @@ def rank_one_dec():
     return DpkDecomposition(d=np.array([5.0, 5.0]), v=np.full((2, 1), np.sqrt(2.0)))
 
 
+def vertex_set(dec, psi):
+    """The distinct vertices _vertex_labels finds: every generic vertex in
+    label order, then one copy of each degenerate vertex in merged order."""
+    verts = _vertex_labels(dec, psi)
+    generic = verts.x.transpose(0, 2, 1)[verts.generic]
+    return np.vstack([generic, verts.at(verts.x, verts.merged)])
+
+
 def test_vertex_set_rank_one():
-    verts = _vertex_set(rank_one_dec(), np.sqrt(3.0))
+    verts = vertex_set(rank_one_dec(), np.sqrt(3.0))
     # both coordinate subsets give the same line positions c * 5 / sqrt(2)
     expected = sorted(c * 5.0 / np.sqrt(2.0) for c in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5))
     assert verts.shape[0] == 6
@@ -36,14 +45,14 @@ def test_vertex_set_rank_one():
 
 def test_vertex_set_skips_zero_rows():
     dec = DpkDecomposition(d=np.array([4.0, 4.0]), v=np.array([[np.sqrt(3.0)], [0.0]]))
-    verts = _vertex_set(dec, 1.0)
+    verts = vertex_set(dec, 1.0)
     # only the first coordinate contributes: c * 4 / sqrt(3), c in {+-.5, +-1.5}
     assert verts.shape[0] == 4
 
 
 def test_vertex_set_square_case():
     dec = DpkDecomposition(d=np.array([2.0]), v=np.array([[1.0]]))
-    verts = _vertex_set(dec, 1.0)
+    verts = vertex_set(dec, 1.0)
     assert sorted(verts[:, 0].tolist()) == [-3.0, -1.0, 1.0, 3.0]
 
 
@@ -64,7 +73,7 @@ def test_vertex_set_matches_per_subset_solves():
             h[rows[1]] = h[rows[0]]
         gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=1.5))
         psi = max(1.0, search_radius_psi(gram))
-        verts = _vertex_set(dec, psi)
+        verts = vertex_set(dec, psi)
         cs = np.arange(-math.ceil(psi) - 0.5, math.ceil(psi) + 1.0)
         rhs = np.array(list(itertools.product(cs, repeat=k))).T
         ratios = dec.v / dec.d[:, None]
@@ -253,18 +262,146 @@ def test_combination_budget_error():
         solve_dpk(gram, dec, budget=5)
 
 
+def ratio_dec(ratios, d=None, top=0.8):
+    """A pair with diag(d)^-1 V = ratios, scaled so that W = diag(d)^-1/2
+    V has largest singular value sqrt(top) and G is definite."""
+    ratios = np.asarray(ratios, dtype=float)
+    d = np.ones(ratios.shape[0]) if d is None else np.asarray(d, dtype=float)
+    # W = (scale d)^1/2 ratios
+    scale = top / np.linalg.norm(np.sqrt(d)[:, None] * ratios, 2) ** 2
+    return DpkDecomposition(d=scale * d, v=(scale * d)[:, None] * ratios)
+
+
 def test_candidate_budget_counts_before_building():
     # three lines of different directions meet at (1/2, 1/2); the fourth
     # row, opposite to the first, passes through it too
-    verts = np.array([[0.5, 0.5]])
-    ratios = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.0]])
-    cand, owner = _vertex_cells(verts, ratios, budget=8)
-    assert cand.shape[0] == 8 and owner.tolist() == [0] * 8
+    dec = ratio_dec([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.0]])
+    ratios = dec.v / dec.d[:, None]
+    verts = _vertex_labels(dec, 1.0)
+    cand, owner = _vertex_cells(verts, ratios, budget=None)
+    point = [i for i, x in enumerate(verts.at(verts.x, verts.merged)) if np.allclose(x, 0.5)]
+    assert len(point) == 1
+    mine = cand[owner == point[0]]
+    assert mine.shape[0] == 8
     # rows 0 and 3 are antiparallel: one takes its upper neighbour when
     # the other takes its lower one
-    assert set(map(tuple, cand[:, [0, 3]].tolist())) == {(0.0, 0.0), (1.0, -1.0)}
-    with pytest.raises(ResourceBudgetError):
-        _vertex_cells(verts, ratios, budget=7)
+    assert set(map(tuple, mine[:, [0, 3]].tolist())) == {(0.0, 0.0), (1.0, -1.0)}
+    # the budget covers these cells and 2^k = 4 at each generic vertex
+    total = cand.shape[0] + 4 * np.count_nonzero(verts.generic)
+    assert _vertex_cells(verts, ratios, budget=total)[0].shape == cand.shape
+    with pytest.raises(ResourceBudgetError, match=f"^{total} vertex cells exceed budget {total - 1}$"):
+        _vertex_cells(verts, ratios, budget=total - 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_generic_vertices_score_two_to_the_k_cells(k):
+    rng = np.random.default_rng(127 + k)
+    for _ in range(15):
+        n = int(rng.integers(k + 1, 7 if k == 2 else 6))
+        channel = MimoChannel(h_matrix=rng.standard_normal((n, k)),
+                              power=float(np.exp(rng.uniform(np.log(0.1), np.log(3.0)))))
+        gram, dec = build_gram_mimo(channel)
+        res = solve_dpk(gram, dec, budget=None)
+        # Gaussian rows put no third hyperplane through a vertex
+        assert res.candidates_evaluated == n + 2 ** k * res.breakpoint_count
+
+
+DEGENERATE_RATIOS = {
+    # three lines of different directions through (1/2, 1/2)
+    "three-lines-one-point": ([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [1.0, 2.0, 0.5]),
+    # and a fourth, opposite to the first
+    "and-its-opposite": ([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.0]], None),
+    # coincident hyperplanes of opposite rows
+    "antiparallel": ([[1.0, 0.5], [-1.0, -0.5], [0.3, 2.0]], [1.0, 1.0, 3.0]),
+    "zero-row": ([[1.0, 0.5], [0.0, 0.0], [0.3, -1.2]], [2.0, 1.0, 1.0]),
+    # four planes through (1/2, 1/2, 1/2)
+    "four-planes-one-point": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                               [1.0, 1.0, 1.0]], None),
+}
+
+
+@pytest.mark.parametrize("top", [0.5, 0.95])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_RATIOS))
+def test_degenerate_vertices_match_oracle(name, top, box_minimum):
+    ratios, d = DEGENERATE_RATIOS[name]
+    dec = ratio_dec(ratios, d, top)
+    gram = GramMatrix(np.diag(dec.d) - dec.v @ dec.v.T)
+    res = solve_dpk(gram, dec, budget=None)
+    verts = _vertex_labels(dec, max(1.0, search_radius_psi(gram)))
+    assert res.breakpoint_count == verts.count
+    if name != "zero-row":
+        assert verts.merged.size > 0
+    radius = certification_radius(gram, res.f_star)
+    oracle = brute_force_slv(gram, radius, budget=None)
+    assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+    box_f, _ = box_minimum(gram.entries, math.ceil(radius), radius)
+    assert abs(res.f_star - box_f) <= 1e-9 * max(1.0, box_f)
+    if res.witness_point is not None:
+        image = (dec.v / dec.d[:, None]) @ res.witness_point
+        assert np.all(np.abs(image - res.a_star.entries) <= 0.5 + 1e-9)
+
+
+THIRD = 1.0 / 3.0
+
+
+@pytest.mark.parametrize("h, power, a_star, f_hex", [
+    (((-2 * THIRD, 2 * THIRD), (0.0, 1.0), (-2 * THIRD, -2 * THIRD)), "0x1.cb83449737327p+1",
+     [0, 1, -1], "0x1.59d0c9cc759fcp-2"),
+    (((-1.0, -1.0), (1.0, -1.0), (-2.0, 2.0), (2.0, 2.0)), "0x1.0f74e8f670bf4p+2",
+     [1, 0, 0, -2], "0x1.d7b9a738e9678p-4"),
+    (((-1.0, 0.0), (-1.0, 0.0), (-2.0, -2.0), (0.0, -2.0), (0.0, 1.0), (2.0, -1.0), (2.0, 2.0),
+      (2.0, 2.0)), "0x1.bc6fa042211e4p+1", [1, 1, 2, 0, 0, -2, -2, -2], "0x1.204ac8e6bc324p-2"),
+], ids=["thirds", "integer-n4", "integer-n8"])
+def test_exact_ties_go_to_the_first_vertex_on_the_grid(h, power, a_star, f_hex):
+    # two vectors (not negations of each other) tie exactly on G; the one
+    # at the vertex that comes first on the 1e-9 grid wins, as it did
+    # when every vertex was sorted
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=float.fromhex(power)))
+    res = solve_dpk(gram, dec, budget=None)
+    assert res.a_star.entries.tolist() == a_star
+    assert res.f_star == float.fromhex(f_hex)
+
+
+def crowded_dec():
+    """Eight lines of eight directions through every point of the
+    half-integer grid: each of those vertices has 2^8 cells."""
+    rows = [[1, 0], [0, 1], [1, 2], [2, 1], [1, -2], [-2, 1], [3, 2], [2, 3]]
+    return ratio_dec(rows, top=0.9)
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_refusals_come_before_the_candidates_are_built():
+    dec = crowded_dec()
+    gram = GramMatrix(np.diag(dec.d) - dec.v @ dec.v.T)
+    psi = max(1.0, search_radius_psi(gram))
+    assert math.ceil(psi) == 3
+    full = solve_dpk(gram, dec, budget=None)
+    verts = _vertex_labels(dec, psi)
+    cells = full.candidates_evaluated - dec.n
+    assert np.count_nonzero(verts.generic) * 4 < cells // 2
+    # the candidate matrix alone takes this much
+    matrix = cells * dec.n * 8
+    assert peak_bytes(lambda: solve_dpk(gram, dec, budget=None)) > matrix
+
+    def refused(budget, message):
+        with pytest.raises(ResourceBudgetError, match=message):
+            solve_dpk(gram, dec, budget=budget)
+
+    # the vertex bound C(8, 2) 8^2 = 1792 fits, the vertex groups do not
+    groups = math.comb(full.breakpoint_count, 3)
+    assert peak_bytes(lambda: refused(1792, f"^{groups} vertex groups of size 3 exceed")) < matrix / 2
+    ratios = dec.v / dec.d[:, None]
+    assert peak_bytes(lambda: pytest.raises(ResourceBudgetError, _vertex_cells, verts, ratios,
+                                            cells - 1)) < matrix / 4
 
 
 def test_deterministic():
