@@ -7,6 +7,7 @@ their invariants once at construction so the solvers can stay lean.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,7 +45,7 @@ class ChannelVector:
         entries = np.array(self.entries, dtype=float)
         if entries.ndim != 1 or entries.size < 1:
             raise ValueError("channel must be a one-dimensional vector of length >= 1")
-        if not np.all(np.isfinite(entries)):
+        if not np.isfinite(entries).all():
             raise ValueError("channel gains must be finite")
         object.__setattr__(self, "entries", _freeze(entries))
 
@@ -180,14 +181,14 @@ class SolverResult:
 
     f_star is the objective recomputed from scratch at a_star, so it is
     reproducible independent of any incremental arithmetic used during
-    the search.  witness_point is a real point x of a_star's closed cell
-    that certifies it (None when a unit vector won outright): for
-    solve_single an interval midpoint with round(x h) = a_star; for
-    solve_dpk |diag(d)^-1 V x - a_star| <= 1/2 entrywise, with x the
-    interval midpoint of the sweep for k = 1 and, for k >= 2, a vertex
-    of the hyperplane arrangement that bounds the cell: among the
-    vertices whose cells tie on G, the first lexicographically on the
-    1e-9 grid.
+    the search.  A candidate must be strictly lower on G than the best
+    unit vector; solve_single and rank-one solve_dpk give an exact tie
+    between candidates to the smallest x.  witness_point is a point x of
+    a_star's closed cell (None when a unit vector won): for solve_single
+    an interval midpoint with round(x h) = a_star; for solve_dpk
+    |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
+    for k = 1 and, for k >= 2, the first vertex on the 1e-9 grid among
+    the vertices of the cells that tie on G.
     """
 
     a_star: CoefficientVector
@@ -198,7 +199,7 @@ class SolverResult:
     witness_point: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.f_star) and self.f_star > 0.0):
+        if not (math.isfinite(self.f_star) and self.f_star > 0.0):
             raise ValueError("objective value must be finite and positive")
         if self.candidates_evaluated < 1:
             raise ValueError("at least one candidate must have been evaluated")
@@ -258,7 +259,7 @@ def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
 
     Both solvers start from it; the first j wins a tie.
     """
-    diag = np.diag(g_entries)
+    diag = g_entries.diagonal()
     j = int(np.argmin(diag))
     a = np.zeros(diag.size, dtype=np.int64)
     a[j] = 1
@@ -269,8 +270,9 @@ def _solver_result(g_entries: np.ndarray, best_a: np.ndarray, witness: np.ndarra
                    t0: float, candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
     """A solver's SolverResult: best_a in canonical sign, the witness
     negated with it, f_star recomputed on G, elapsed time since t0."""
-    a_star = canonical_sign(CoefficientVector(best_a))
-    if witness is not None and not np.array_equal(a_star.entries, best_a):
+    a = CoefficientVector(best_a)
+    a_star = canonical_sign(a)
+    if witness is not None and a_star is not a:
         witness = -witness
     return SolverResult(
         a_star=a_star,

@@ -59,6 +59,16 @@ def _check_power(power: float) -> float:
     return power
 
 
+def _single_scale(hv: np.ndarray, power: float) -> float:
+    """1 + P|h|^2, or ValueError if it overflows a float."""
+    with np.errstate(over="ignore"):
+        # hv.dot(hv) has the bits of hv @ hv without the ufunc overhead
+        scale = 1.0 + power * float(hv.dot(hv))
+    if not math.isfinite(scale):
+        raise ValueError("1 + P|h|^2 overflows a float; scale the channel or the power down")
+    return scale
+
+
 @dataclass(frozen=True)
 class MimoChannel:
     """Channel matrix between n transmitters and k receive antennas.
@@ -115,16 +125,15 @@ def build_gram_single(h, power: float) -> GramMatrix:
 def dpk_from_single(h, power: float) -> DpkDecomposition:
     """Rank-one decomposition d = (1 + P|h|^2) 1, V = sqrt(P) h.
 
-    The zero channel has no rank-one part; it is rejected because the
-    decomposition type requires V to have full column rank.
+    The zero channel (V must have full column rank) and a channel whose
+    1 + P|h|^2 overflows a float raise ValueError.
     """
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries
     if not hv.any():
         raise ValueError("zero channel vector admits no rank-one decomposition")
-    scale = 1.0 + power * float(hv @ hv)
-    d = np.full(h.n, scale)
+    d = np.full(h.n, _single_scale(hv, power))
     v = (math.sqrt(power) * hv)[:, None]
     return DpkDecomposition(d=d, v=v)
 
@@ -141,18 +150,21 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     and 1, so min_eigenvalue is 1 - s_max; V = W diag(s)^1/2
     with d = 1 has singular values sqrt(s_i), on which the rank and
     definiteness tests of DpkDecomposition run with the same
-    thresholds and messages.  Entries that overflow a float raise
-    ValueError as GramMatrix does.  The returned decomposition keeps a
-    private reference to the returned G, so solve_dpk does not compare
-    the pair again.
+    thresholds and messages.  Entries of H H^T or of G that overflow a
+    float raise ValueError, as GramMatrix does.  The returned
+    decomposition keeps a private reference to the returned G, so
+    solve_dpk does not compare the pair again.
     """
     if not isinstance(channel, MimoChannel):
         raise ValueError("expected a MimoChannel")
     h = channel.h_matrix
     power = channel.power
     n, k = channel.n, channel.k
-    outer = h @ h.T
-    values, vectors = np.linalg.eigh(0.5 * (outer + outer.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = h @ h.T
+        values, vectors = np.linalg.eigh(0.5 * (outer + outer.T))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("H H^T overflows a float; scale the channel down")
     # eigh sorts ascending; take the top k pairs, largest first
     gains2 = values[::-1][:k]
     keep = gains2 > EIGENVALUE_FLOOR

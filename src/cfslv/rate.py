@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .core import as_channel_vector, as_coefficient_vector
-from .gram import _check_power
+from .gram import _check_power, _single_scale
 
 
 def computation_rate(h, power: float, a) -> float:
@@ -27,8 +27,9 @@ def computation_rate(h, power: float, a) -> float:
         raise ValueError(f"dimension mismatch: channel is {h.n}, coefficients are {a.n}")
     av = a.entries.astype(float)
     hv = h.entries
+    scale = _single_scale(hv, power)
     inner = float(hv @ av)
-    denom = float(av @ av) - power * inner * inner / (1.0 + power * float(hv @ hv))
+    denom = float(av @ av) - power * inner * inner / scale
     if denom <= 0.0:
         raise ValueError("rate denominator underflowed; instance is numerically degenerate")
     return max(0.0, 0.5 * math.log2(1.0 / denom))
@@ -38,13 +39,13 @@ def rate_from_objective(f_value: float, h, power: float) -> float:
     """Rate implied by an objective value f = a^T G a on channel h.
 
     Equals computation_rate for the a that produced f_value:
-    R = 1/2 log2+ ((1 + P |h|^2) / f).
+    R = 1/2 log2+ ((1 + P |h|^2) / f).  Both raise ValueError if
+    1 + P |h|^2 overflows a float.
     """
     h = as_channel_vector(h)
     power = _check_power(power)
     f_value = float(f_value)
     if not (math.isfinite(f_value) and f_value > 0.0):
         raise ValueError("objective value must be finite and positive")
-    hv = h.entries
-    scale = 1.0 + power * float(hv @ hv)
+    scale = _single_scale(h.entries, power)
     return max(0.0, 0.5 * math.log2(scale / f_value))

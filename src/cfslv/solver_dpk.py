@@ -16,8 +16,7 @@ pass through it (commensurate or parallel rows); only those vertices
 are merged, and their rows round down or up, one choice per direction.
 Every candidate is scored in O(nk) from the low-rank form, and the few
 near the minimum again on G.  For k = 1 the vertices are the crossings
-of one line, and the solver runs solve_single's prefix-sum sweep
-instead.
+of one line, and the solver runs solve_single's search instead.
 """
 
 from __future__ import annotations
@@ -42,13 +41,12 @@ from .core import (
 )
 from .errors import ResourceBudgetError
 from .gram import search_radius_psi, validate_dpk
-from .solver_single import _crossing_sweep
+from .solver_single import _TIE_RTOL, _Found, _rank_one_search
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
 TIGHT_RTOL = 1e-8
 PARALLEL_TOL = 1e-9
-_TIE_RTOL = 1e-9
 
 
 @functools.lru_cache(maxsize=16)
@@ -202,54 +200,23 @@ def _vertex_cells(verts: _Vertices, ratios: np.ndarray,
     return base + (up & tight[owner]), owner
 
 
-# (f on G, a, witness, candidates scored, breakpoint_count) of a search
-_Best = tuple[float, np.ndarray | None, np.ndarray | None, int, int]
-
-
-def _rank_one_sweep(g_arr: np.ndarray, dec: DpkDecomposition, psi: float) -> _Best:
-    """Best rounding of x r, r = v / d, over the open intervals at x > 0.
-
-    Prefix sums of d_j a_j^2 and |v_j| |a_j| over the sorted crossings
-    give f = sum d a^2 - (v^T a)^2 on each interval in O(1).  Those
-    values differ from G's in the last bits, so the intervals within
-    1e-9 sum d a^2 (taken at the sweep minimum) of the minimum are
-    scored again on G with _vertex_search's einsum, latest first, so
-    that a tie on G goes to the larger x.  Returns (f on G, a, interval midpoint, intervals
-    swept, crossings); f is inf and a None when no interval is open.
-    """
-    mags = np.abs(dec.v[:, 0])
-    xs, coord, step, scored = _crossing_sweep(mags / dec.d, math.ceil(psi))
-    if scored.size == 0:
-        return math.inf, None, None, 0, int(xs.size)
-    norm2 = np.cumsum(dec.d[coord] * step)[scored]
-    f = norm2 - np.cumsum(mags[coord])[scored] ** 2
-    m = int(np.argmin(f))
-    near = scored[f <= f[m] + _TIE_RTOL * norm2[m]][::-1]
-    cand = np.array([np.bincount(coord[: i + 1], minlength=dec.n) for i in near])
-    cand = cand * np.sign(dec.v[:, 0])
-    f_g = np.einsum("ij,jk,ik->i", cand, g_arr, cand)
-    j = int(np.argmin(f_g))
-    i = int(near[j])
-    return (float(f_g[j]), cand[j].astype(np.int64),
-            np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), int(scored.size), int(xs.size))
-
-
 def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
-                   budget: int | None) -> _Best:
-    """Best rounded cell at the arrangement vertices, for k >= 2.
+                   budget: int | None, best_f: float) -> _Found:
+    """Best rounded cell at the arrangement vertices that beats best_f on
+    G, for k >= 2.
 
     A generic vertex yields its 2^k cells straight from its label (see
     _label_grid), and every row outside the label rounds to nearest;
     degenerate vertices go through _vertex_cells.  Every candidate a is
     scored as sum d a^2 - |V^T a|^2, in O(nk).  Those values differ from
     G's in the last bits, so the candidates within 1e-9 sum d a^2 (taken
-    at the minimum) of the minimum are scored again on G with
-    _rank_one_sweep's einsum.  A tie on G goes to the candidate whose
-    vertex comes first lexicographically on the 1e-9 grid, then to the
-    first of its cells in candidate order: by pattern number at a
-    generic vertex, in _vertex_cells' order at a degenerate one.
-    Returns (f on G, a, its vertex, candidates scored, vertices) as
-    _rank_one_sweep does.
+    at the minimum) of the minimum are scored again on G with one
+    einsum; the lowest must be strictly below best_f.  A tie on G goes to
+    the candidate whose vertex comes first lexicographically on the 1e-9
+    grid, then to the first of its cells in candidate order: by pattern
+    number at a generic vertex, in _vertex_cells' order at a degenerate
+    one.  Returns (a, its vertex, candidates scored, vertices) as
+    _rank_one_search does.
     """
     verts = _vertex_labels(dec, psi)
     # C(#vertices, k+1) no longer measures the work (the candidate
@@ -284,7 +251,7 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
     scored = (int(np.count_nonzero(verts.generic)) << k) + degenerate.shape[0]
     m = int(np.argmin(f)) if f.size else 0
     if not f.size or f[m] == np.inf:
-        return math.inf, None, None, scored, verts.count
+        return None, None, scored, verts.count
     near = np.flatnonzero(f <= f[m] + _TIE_RTOL * norm2[m])
     split = int(np.searchsorted(near, first_degenerate))
     flat = near[:split] >> k
@@ -299,9 +266,12 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
     # an exact tie on G goes to the candidate whose vertex comes first on
     # the 1e-9 grid, as when every vertex was sorted, then to the earlier
     # cell (the sort is stable)
-    tied = np.flatnonzero(f_g == f_g.min())
+    f_min = f_g.min()
+    if not f_min < best_f:
+        return None, None, scored, verts.count
+    tied = np.flatnonzero(f_g == f_min)
     j = int(tied[_grid_order(xs[tied])[0]])
-    return float(f_g[j]), cand[j].astype(np.int64), xs[j], scored, verts.count
+    return cand[j].astype(np.int64), xs[j], scored, verts.count
 
 
 def solve_dpk(g, dec: DpkDecomposition | None, *,
@@ -313,20 +283,15 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     returned, which come from the same eigenpairs and are not compared
     again; any other g, dec or mix of the two is compared.  A None
     decomposition is accepted only for diagonal g, where the best
-    unit vector is already optimal.  For k = 1 the candidates are the
-    roundings of x v / d on the open intervals between the x > 0
-    crossings, swept as in solve_single (see _rank_one_sweep), and
-    breakpoint_count counts those crossings; for k >= 2 they are the
-    rounded cells at each arrangement vertex, 2^k at a generic vertex
-    (see _vertex_search), and breakpoint_count counts the distinct
-    vertices.  The best unit vector is kept unless a candidate scores
-    strictly lower on G: for k = 1 the lowest on G of the intervals near
-    the sweep minimum (the latest on a tie), for k >= 2 the lowest on G
-    (on a tie, the one whose vertex comes first lexicographically on the
-    1e-9 grid).  The witness is a point x of a_star's closed cell,
-    |diag(d)^-1 V x - a_star| <= 1/2 entrywise: the interval midpoint
-    for k = 1, the vertex that produced a_star for k >= 2, the first on
-    the 1e-9 grid among the vertices of cells that tie on G.  Raises
+    unit vector is already optimal.  For k = 1 solve_single's search,
+    _rank_one_search, sweeps x v / d (ties to the smallest x), and
+    breakpoint_count counts its crossings; for k >= 2 the candidates are
+    the rounded cells at each arrangement vertex (see _vertex_search),
+    and breakpoint_count counts the distinct vertices.  Either search
+    keeps the best unit vector unless a candidate is strictly lower on
+    G.  The witness is a point x of a_star's closed cell, |diag(d)^-1 V
+    x - a_star| <= 1/2 entrywise: the interval midpoint for k = 1, the
+    vertex that produced a_star for k >= 2.  Raises
     ResourceBudgetError if the vertex bound C(n, k) (2 ceil(psi) + 2)^k
     exceeds budget, checked once before either search, and for k >= 2 if
     the number of vertex subsets C(#vertices, k+1) or of candidates
@@ -358,10 +323,12 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         if budget is not None and worst_case > budget:
             raise ResourceBudgetError(f"vertex bound {worst_case} exceeds budget {budget}")
         if dec.k == 1:
-            f, a, x, scored, vertex_count = _rank_one_sweep(g_arr, dec, psi)
+            v = dec.v[:, 0]
+            a, best_x, scored, vertex_count = _rank_one_search(
+                g_arr, np.abs(v) / dec.d, dec.d, v, math.ceil(psi), best_f)
         else:
-            f, a, x, scored, vertex_count = _vertex_search(g_arr, dec, psi, budget)
+            a, best_x, scored, vertex_count = _vertex_search(g_arr, dec, psi, budget, best_f)
         candidates += scored
-        if f < best_f:
-            best_a, best_x = a, x
+        if a is not None:
+            best_a = a
     return _solver_result(g_arr, best_a, best_x, t0, candidates, vertex_count)

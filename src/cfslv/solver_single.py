@@ -4,10 +4,10 @@ For G = (1 + P|h|^2) I - P h h^T every optimal coefficient vector is
 either a signed unit vector or the coordinate-wise rounding of x*h for
 some x > 0 (round(-x*h) = -round(x*h), and f(-a) = f(a)).  As x grows,
 |round(x*h_j)| steps from c to c + 1 where x crosses (c + 1/2) / |h_j|;
-that adds 2c + 1 to |a|^2 and |h_j| to h.a.  Sorting the crossings once
-and taking prefix sums therefore scores every rounding pattern within
-the norm bound psi = sqrt(1 + P|h|^2) in O(1) each, on integer states,
-so no tolerance is involved.
+that adds 2c + 1 to |a|^2 and |h_j| to |h.a|.  Sorting the crossings
+once and taking prefix sums therefore scores every rounding pattern
+within the norm bound psi = sqrt(1 + P|h|^2) in O(1) each; the few
+near the minimum are scored again on G to pick the winner.
 """
 
 from __future__ import annotations
@@ -20,51 +20,80 @@ import numpy as np
 from .core import (
     SolverResult,
     as_channel_vector,
+    quad_objective,
     _best_unit_vector,
     _check_budget,
     _solver_result,
 )
 from .errors import ResourceBudgetError
-from .gram import _check_power
+from .gram import _check_power, _single_scale
 
 DEFAULT_BREAKPOINT_BUDGET = 10_000_000
+_TIE_RTOL = 1e-9
+# (a winner or None, its witness or None, candidates scored, breakpoint_count)
+_Found = tuple[np.ndarray | None, np.ndarray | None, int, int]
 
 
-def _crossing_sweep(mags: np.ndarray, cmax: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The x > 0 crossings of x -> |round(x r)| for |r| = mags, sorted.
+def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndarray,
+                     cmax: int, best_f: float) -> _Found:
+    """Best rounding a of x r, x > 0, that beats best_f on G = diag(d) -
+    v v^T, for r a positive multiple of |v| / d.
 
-    |round(x r_j)| steps from c to c + 1 where x crosses (c + 1/2) /
-    |r_j|, c = 0..cmax; zero entries give no crossing.  Returns the
-    finite crossings xs in ascending order (a stable sort, so equal
-    crossings keep coordinate order), the coordinate j of each and its
-    step 2c + 1 in a_j^2, and the indices i with xs[i] < xs[i+1]: the
-    first i + 1 crossings give |round(x r)| on each such open interval.
-    Both solve_single and the rank-one solve_dpk sweep these.
+    The finite crossings (c + 1/2) / r_j, c = 0..cmax, are sorted
+    stably, and prefix sums of d_j (2c + 1) and |v_j| give f = sum d a^2
+    - (v.a)^2 on each open interval.  Those within 1e-9 sum d a^2 of
+    the minimum are scored on G with quad_objective, the function f_star
+    comes from: the lowest wins, the earliest on an exact tie, if
+    strictly below best_f.  The first interval holds only a unit vector
+    and is skipped.  Returns (a or None, interval midpoint or None, open
+    intervals, crossings).
     """
-    nz = np.flatnonzero(mags)
-    c = np.arange(cmax + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        xs = ((c + 0.5) / mags[nz, None]).ravel()
-    # overflowing crossings sort last and lie beyond every x the sweep reaches
-    order = np.argsort(xs, kind="stable")[: np.count_nonzero(np.isfinite(xs))]
+    half = np.arange(0.5, cmax + 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        xs = (half / r[:, None]).ravel()
+    order = np.argsort(xs, kind="stable")
     xs = xs[order]
-    # crossing i is (c, nz[j]) for c = i % c.size, j = i // c.size
-    coord = nz[order // c.size]
-    step = 2.0 * (order % c.size) + 1.0
-    return xs, coord, step, np.flatnonzero(xs[1:] > xs[:-1])
+    # zero entries and overflow give infinite crossings, which sort last
+    finite = int(np.searchsorted(xs, np.inf))
+    order, xs = order[:finite], xs[:finite]
+    # crossing i is (half[i % half.size], coordinate i // half.size)
+    coord = order // half.size
+    opened = np.flatnonzero(xs[1:] > xs[:-1])
+    counts = opened.size, xs.size
+    # the first interval holds one unit vector, no better than best_f
+    scored = opened[1:] if opened.size and opened[0] == 0 else opened
+    if not scored.size:
+        return None, None, *counts
+    norm2 = np.cumsum((d[:, None] * (2.0 * half)).ravel()[order])
+    dot = np.cumsum(np.abs(v)[coord])
+    f = (norm2 - dot * dot)[scored]
+    m = int(np.argmin(f))
+    tol = _TIE_RTOL * norm2[scored[m]]
+    if f[m] > best_f + tol:
+        return None, None, *counts
+    near = scored[f <= f[m] + tol]
+    sign = np.sign(v).astype(np.int64)
+    cand = [np.bincount(coord[: i + 1], minlength=d.size) * sign for i in near]
+    if near.size == 1 and f[m] < best_f - tol:
+        j = 0
+    else:
+        f_g = [quad_objective(g_arr, a) for a in cand]
+        j = int(np.argmin(f_g))
+        if not f_g[j] < best_f:
+            return None, None, *counts
+    i = int(near[j])
+    return cand[j], np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), *counts
 
 
 def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> SolverResult:
     """Exact minimizer of a^T G a over nonzero integer vectors.
 
-    Initializes with the best signed unit vector, then scores the
-    rounding of x*h on each open interval between consecutive distinct
-    crossings (c + 1/2) / |h_j|, c = 0..ceil(psi), keeping the strictly
-    best objective (ties resolve to the smallest x, and a unit vector
-    wins any tie).  Raises ResourceBudgetError if the worst-case
-    breakpoint count n * (2 ceil(psi) + 2) exceeds budget, and
-    ValueError if budget is below 1 or 1 + P|h|^2 overflows a float.
+    Initializes with the best signed unit vector, then runs
+    _rank_one_search on x*h over c = 0..ceil(psi): the winner must be
+    strictly lower on G, and an exact tie goes to the smallest x.
+    Raises ResourceBudgetError if the worst-case breakpoint count n * (2
+    ceil(psi) + 2) exceeds budget, and ValueError if budget is below 1
+    or 1 + P|h|^2 overflows a float.
     """
     t0 = time.perf_counter()
     _check_budget(budget)
@@ -72,28 +101,15 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     power = _check_power(power)
     hv = h.entries
     n = h.n
-    with np.errstate(over="ignore"):
-        scale = 1.0 + power * float(hv @ hv)
-    if not math.isfinite(scale):
-        raise ValueError("1 + P|h|^2 overflows a float; scale the channel or the power down")
+    scale = _single_scale(hv, power)
     g_arr = scale * np.eye(n) - power * np.outer(hv, hv)
 
     best_f, best_a = _best_unit_vector(g_arr)
-    best_x: np.ndarray | None = None
 
     psi = math.sqrt(scale)
     worst_case = n * (2 * math.ceil(psi) + 2)
     if budget is not None and worst_case > budget:
-        raise ResourceBudgetError(
-            f"breakpoint bound {worst_case} exceeds budget {budget}"
-        )
-    mags = np.abs(hv)
-    xs, coord, step, scored = _crossing_sweep(mags, math.ceil(psi))
-    norm2 = np.cumsum(step)
-    dot = np.cumsum(mags[coord])
-    f = scale * norm2[scored] - power * dot[scored] ** 2
-    if f.size and f.min() < best_f:
-        j = int(scored[np.argmin(f)])
-        best_a = np.bincount(coord[: j + 1], minlength=n) * np.sign(hv).astype(np.int64)
-        best_x = np.array([0.5 * (float(xs[j]) + float(xs[j + 1]))])
-    return _solver_result(g_arr, best_a, best_x, t0, n + scored.size, int(xs.size))
+        raise ResourceBudgetError(f"breakpoint bound {worst_case} exceeds budget {budget}")
+    a, x, scored, crossings = _rank_one_search(
+        g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, math.ceil(psi), best_f)
+    return _solver_result(g_arr, best_a if a is None else a, x, t0, n + scored, crossings)

@@ -10,7 +10,10 @@ no budget, so that no rank-k instance is refused); the oracle certifies
 every result.  The rank-k families mimo-k2-halfint, mimo-k2-parallel
 and mimo-k3 pin degenerate arrangements: half-integer channels put
 three or more hyperplanes through one vertex, and a repeated or negated
-row of H makes two hyperplanes coincide.  Floats are stored as float.hex so
+row of H makes two hyperplanes coincide.  single-integer pins
+solve_single's exact ties: integer (odd seeds) and half-integer (even
+seeds) channels at rational powers, where two roundings often share one
+objective value.  Floats are stored as float.hex so
 the file is exact.  tests/test_golden.py re-solves the stored instances
 and checks that a_star is unchanged and f_star is within 1e-12 relative.
 """
@@ -38,7 +41,11 @@ FAMILIES = (
     ("mimo-k2-halfint", 5000, 40),
     ("mimo-k2-parallel", 6000, 30),
     ("mimo-k3", 7000, 40),
+    ("single-integer", 8000, 60),
 )
+
+# rational powers at which integer channels tie exactly
+INTEGER_POWERS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0)
 
 
 def log_uniform(rng, lo: float, hi: float) -> float:
@@ -55,6 +62,10 @@ def draw(kind: str, seed: int):
         n = int(rng.integers(2, 6))
         h = rng.integers(-4, 5, n) / float(rng.integers(1, 4))
         return h, log_uniform(rng, 0.5, 20.0)
+    if kind == "single-integer":
+        n = int(rng.integers(2, 7))
+        h = rng.integers(-3, 4, n) / (1.0 if seed % 2 else 2.0)
+        return h, float(rng.choice(INTEGER_POWERS))
     if kind == "mimo-k1":
         n = int(rng.integers(2, 7))
         return rng.standard_normal((n, 1)), log_uniform(rng, 1.0, 20.0)

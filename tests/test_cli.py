@@ -203,6 +203,20 @@ def test_overflowing_channel_is_input_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["mimo", "rate"])
+def test_overflowing_mimo_or_rate_channel_is_input_error(tmp_path, capsys, command):
+    # H H^T and |h|^2 overflow although every entry is finite
+    (tmp_path / "H.txt").write_text("2 1\n1e200\n1e200\n")
+    args = {
+        "mimo": ["--H", str(tmp_path / "H.txt"), "--power", "1"],
+        "rate": ["--h", "1e200,1", "--power", "1", "--a", "1,0"],
+    }[command]
+    code, out, err = run_cli([command, *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflows" in err
+
+
 def test_bench_stdout_report(capsys):
     code, out, err = run_cli(
         ["bench", "--trials", "3", "--n-range", "2:3", "--power-range", "1:2",

@@ -17,11 +17,21 @@ from cfslv.solver_single import solve_single
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_a_star.json").read_text())["instances"]
 
-# exact ties between unit vectors: the solver keeps the best unit vector,
+# exact ties with the best unit vector: the solver keeps the unit vector,
 # the oracle the first vector in its enumeration order
 ORACLE_TIES = {
     ("single-commensurate", 2000): [0, 1],
     ("single-commensurate", 2035): [0, 1],
+    ("single-integer", 8006): [0, 0, 0, 1, 0],
+    ("single-integer", 8016): [0, 1, 0, 0],
+    ("single-integer", 8030): [0, 0, 1],
+    ("single-integer", 8032): [0, 0, 0, 0, 0, 1],
+    ("single-integer", 8035): [1, 0, -1, 0, 0],
+    ("single-integer", 8044): [0, 0, 0, 1],
+    ("single-integer", 8048): [0, 0, 1, 0, 0],
+    ("single-integer", 8050): [0, 1, 0],
+    ("single-integer", 8056): [1, 0, 0, -1],
+    ("single-integer", 8058): [0, 1],
     ("mimo-k2-halfint", 5022): [0, 0, 1],
     ("mimo-k2-parallel", 6013): [0, 1, 0],
 }
@@ -61,7 +71,7 @@ def _oracle(h, power, f_star):
 
 
 def test_golden_a_star():
-    assert len(GOLDEN) == 270
+    assert len(GOLDEN) == 330
     assert not _mismatches(_solver, {})
 
 

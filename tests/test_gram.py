@@ -74,6 +74,11 @@ def test_dpk_from_single_values():
     assert np.allclose(dec.v, np.full((2, 1), np.sqrt(2.0)))
 
 
+def test_dpk_from_single_overflow_is_rejected():
+    with pytest.raises(ValueError, match=r"^1 \+ P\|h\|\^2 overflows a float"):
+        dpk_from_single([1e200, 1.0], 1.0)
+
+
 def test_dpk_from_single_axis():
     dec = dpk_from_single([1.0, 0.0], 3.0)
     assert dec.d.tolist() == [4.0, 4.0]
@@ -249,6 +254,14 @@ def test_extreme_power_still_fails(power, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         gram, _ = build_gram_mimo(MimoChannel(h_matrix=EXTREME_H, power=power))
         search_radius_psi(gram)
+
+
+@pytest.mark.parametrize("gain", [1e200, 1e154])
+def test_mimo_overflow_is_rejected(gain):
+    # H H^T overflows at 1e200, its symmetrized sum at 1e154; the NaN
+    # eigenvalues must not be dropped as zero gains
+    with pytest.raises(ValueError, match=r"^H H\^T overflows a float"):
+        build_gram_mimo(MimoChannel(h_matrix=np.full((2, 1), gain), power=1.0))
 
 
 def test_mimo_channel_validation():

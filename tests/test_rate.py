@@ -59,6 +59,13 @@ def test_rate_from_objective_rejects_nonpositive():
             rate_from_objective(bad, [1.0], 1.0)
 
 
+def test_rates_reject_an_overflowing_channel():
+    with pytest.raises(ValueError, match=r"^1 \+ P\|h\|\^2 overflows a float"):
+        computation_rate([1e200, 1.0], 1.0, [1, 0])
+    with pytest.raises(ValueError, match=r"^1 \+ P\|h\|\^2 overflows a float"):
+        rate_from_objective(1.0, [1e200, 1.0], 1.0)
+
+
 @settings(max_examples=200)
 @given(
     st.integers(0, 2**31 - 1),

@@ -584,18 +584,41 @@ def test_rank_one_equal_gains_keep_the_first_unit_vector(power):
     # (1, -1, 0, 0) and (2, -2, -1, -1) tie exactly; the swept f ranks the
     # second lower, but it scores higher on G
     ((2.0, -2.0, -1.0, -1.0), 2.0, [1, -1, 0, 0], "0x1.e79e79e79e79ep-2"),
-], ids=["last-bit-unit-vector", "unit-interval-first", "swept-order-misleads"])
+    # (0, 0, 0, 1, 1, -1) ties e_4 on G; an einsum ranks it lower
+    ((1.0, 0.0, -1.0, -3.0, -2.0, 2.0), 1.0, [0, 0, 0, 1, 0, 0], None),
+    # an einsum ranks h itself first, 2 ulps above this vector on G
+    ((3.0, -3.0, 0.0, 1.0, -2.0, 3.0, 0.0), 4.0, [1, -1, 0, 0, -1, 1, 0], "0x1.fc07f01fc07f0p-3"),
+], ids=["last-bit-unit-vector", "unit-interval-first", "swept-order-misleads",
+        "einsum-ties-unit-vector", "einsum-order-misleads"])
 def test_rank_one_ties_break_on_g(h, power, a_star, f_hex):
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h)[:, None], power=power))
     res = solve_dpk(gram, dec)
-    # comparing the swept f with G's diagonal, unit interval included,
-    # would return (1, 0, 0, 1), (1, 0, 0, 0) and (2, -2, -1, -1)
+    # the winner is chosen by the value f_star reports, quad_objective on
+    # G, and must beat the best unit vector strictly
     assert res.a_star.entries.tolist() == a_star
     if f_hex is None:
         assert res.witness_point is None
-        assert res.f_star == gram.entries[3, 3]
+        assert res.f_star == gram.entries[3, 3] == np.min(np.diag(gram.entries))
     else:
         assert res.f_star == float.fromhex(f_hex)
+
+
+def test_rank_one_ties_match_single_antenna_solver():
+    # integer and half-integer channels at rational powers tie exactly
+    # between intervals; both solvers give the tie to the earliest one
+    draws = [(np.array([2.0, -2.0, -1.0, -1.0]), 2.0)]
+    rng = np.random.default_rng(20)
+    for trial in range(600):
+        n = int(rng.integers(2, 7))
+        h = rng.integers(-3, 4, n) / (1.0 if trial % 2 else 2.0)
+        draws.append((h, float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0]))))
+    for h, power in draws:
+        if not h.any():
+            continue
+        fast = solve_single(h, power)
+        slow = solve_dpk(build_gram_single(h, power), dpk_from_single(h, power))
+        assert slow.a_star.entries.tolist() == fast.a_star.entries.tolist()
+        assert slow.f_star == fast.f_star
 
 
 def test_rank_one_large_single_antenna_instance():

@@ -177,6 +177,28 @@ def test_tie_prefers_unit_vector():
     assert np.abs(res.a_star.entries).sum() == 1
 
 
+@pytest.mark.parametrize("h, power, a_star", [
+    ((2.0, -2.0, -1.0, -1.0), 2.0, [1, -1, 0, 0]),
+    ((-3.0, 1.0, 0.0, -3.0, 0.0, 2.0), 4.0, [1, 0, 0, 1, 0, -1]),
+    ((0.0, 1.0, 2.0, -1.0, -2.0, 0.0), 2.0, [0, 0, 1, 0, -1, 0]),
+    ((-3.0, 1.0, 2.0, 0.0), 4.0, [1, 0, -1, 0]),
+])
+def test_exact_interval_tie_goes_to_the_smallest_x(h, power, a_star):
+    # two roundings of x h tie exactly on G below every unit vector; the
+    # one on the earlier interval wins, as before the search was shared
+    res = solve_single(h, power)
+    assert res.a_star.entries.tolist() == a_star
+    assert np.array_equal(np.floor(res.witness_point[0] * np.array(h) + 0.5), a_star)
+
+
+def test_sweep_overflow_keeps_the_unit_vector():
+    # 1 + P|h|^2 is finite, but P (|h|.|a|)^2 overflowed in the old sweep
+    # and a wrong vector won
+    res = solve_single([1e150, 1.0], 1e-290)
+    assert res.a_star.entries.tolist() == [1, 0]
+    assert res.f_star == 1.0
+
+
 def test_budget_error_for_huge_psi():
     with pytest.raises(ResourceBudgetError):
         solve_single([1.0], 1.0e16, budget=10_000_000)
