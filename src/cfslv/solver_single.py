@@ -44,8 +44,10 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     - (v.a)^2 on each open interval.  Those within 1e-9 sum d a^2 of
     the minimum are scored on G with quad_objective, the function f_star
     comes from: the lowest wins, the earliest on an exact tie, if
-    strictly below best_f.  The first interval holds only a unit vector
-    and is skipped.  Returns (a or None, interval midpoint or None, open
+    strictly below best_f.  Two steps only save time: the first
+    interval, which holds a unit vector, is not scored, and nothing is
+    scored on G when the minimum lies more than that margin above
+    best_f.  Returns (a or None, interval midpoint or None, open
     intervals, crossings).
     """
     half = np.arange(0.5, cmax + 1.0)
@@ -69,18 +71,16 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     f = (norm2 - dot * dot)[scored]
     m = int(np.argmin(f))
     tol = _TIE_RTOL * norm2[scored[m]]
+    # G's values differ from these by rounding, far below tol
     if f[m] > best_f + tol:
         return None, None, *counts
     near = scored[f <= f[m] + tol]
     sign = np.sign(v).astype(np.int64)
     cand = [np.bincount(coord[: i + 1], minlength=d.size) * sign for i in near]
-    if near.size == 1 and f[m] < best_f - tol:
-        j = 0
-    else:
-        f_g = [quad_objective(g_arr, a) for a in cand]
-        j = int(np.argmin(f_g))
-        if not f_g[j] < best_f:
-            return None, None, *counts
+    f_g = [quad_objective(g_arr, a) for a in cand]
+    j = int(np.argmin(f_g))
+    if not f_g[j] < best_f:
+        return None, None, *counts
     i = int(near[j])
     return cand[j], np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), *counts
 

@@ -191,20 +191,29 @@ def test_matches_oracle_randomized():
         assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
 
 
-@pytest.mark.parametrize("draw", ["gaussian", "integer", "half-integer"])
+@pytest.mark.parametrize("draw", ["gaussian", "integer", "half-integer", "rational-power"])
 def test_agrees_with_single_antenna_solver(draw):
+    # integer and half-integer channels at rational powers tie exactly
+    # between intervals; both solvers give the tie to the earliest one
+    rational = draw == "rational-power"
     rng = np.random.default_rng(71)
-    for _ in range(30):
+    draws = [(np.array([2.0, -2.0, -1.0, -1.0]), 2.0)] if rational else []
+    for trial in range(600 if rational else 30):
         n = int(rng.integers(2, 7))
         if draw == "gaussian":
             h = rng.standard_normal(n)
-        elif draw == "integer":
+        elif draw == "integer" or rational and trial % 2:
             h = rng.integers(-3, 4, n).astype(float)
         else:
             h = rng.integers(-3, 4, n) / 2.0
+        if rational:
+            power = float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0]))
+        else:
+            power = float(rng.uniform(0.1, 10.0))
+        draws.append((h, power))
+    for h, power in draws:
         if not h.any():
             continue
-        power = float(rng.uniform(0.1, 10.0))
         fast = solve_single(h, power)
         slow = solve_dpk(build_gram_single(h, power), dpk_from_single(h, power))
         assert slow.a_star.entries.tolist() == fast.a_star.entries.tolist()
@@ -588,8 +597,11 @@ def test_rank_one_equal_gains_keep_the_first_unit_vector(power):
     ((1.0, 0.0, -1.0, -3.0, -2.0, 2.0), 1.0, [0, 0, 0, 1, 0, 0], None),
     # an einsum ranks h itself first, 2 ulps above this vector on G
     ((3.0, -3.0, 0.0, 1.0, -2.0, 3.0, 0.0), 4.0, [1, -1, 0, 0, -1, 1, 0], "0x1.fc07f01fc07f0p-3"),
+    # (1, 1, 0) ties e_2 exactly; the swept f puts it above G[1, 1], but
+    # it is 4 ulps below on G
+    ((-1.0, -1.5, -0.5), 2.0, [1, 1, 0], "0x1.bfffffffffff8p-2"),
 ], ids=["last-bit-unit-vector", "unit-interval-first", "swept-order-misleads",
-        "einsum-ties-unit-vector", "einsum-order-misleads"])
+        "einsum-ties-unit-vector", "einsum-order-misleads", "swept-above-unit-vector"])
 def test_rank_one_ties_break_on_g(h, power, a_star, f_hex):
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h)[:, None], power=power))
     res = solve_dpk(gram, dec)
@@ -601,24 +613,6 @@ def test_rank_one_ties_break_on_g(h, power, a_star, f_hex):
         assert res.f_star == gram.entries[3, 3] == np.min(np.diag(gram.entries))
     else:
         assert res.f_star == float.fromhex(f_hex)
-
-
-def test_rank_one_ties_match_single_antenna_solver():
-    # integer and half-integer channels at rational powers tie exactly
-    # between intervals; both solvers give the tie to the earliest one
-    draws = [(np.array([2.0, -2.0, -1.0, -1.0]), 2.0)]
-    rng = np.random.default_rng(20)
-    for trial in range(600):
-        n = int(rng.integers(2, 7))
-        h = rng.integers(-3, 4, n) / (1.0 if trial % 2 else 2.0)
-        draws.append((h, float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0]))))
-    for h, power in draws:
-        if not h.any():
-            continue
-        fast = solve_single(h, power)
-        slow = solve_dpk(build_gram_single(h, power), dpk_from_single(h, power))
-        assert slow.a_star.entries.tolist() == fast.a_star.entries.tolist()
-        assert slow.f_star == fast.f_star
 
 
 def test_rank_one_large_single_antenna_instance():
