@@ -75,6 +75,8 @@ class BenchConfig:
             raise ValueError("seed must be nonnegative")
         if self.mode == "mimo" and not (1 <= self.k <= n_lo):
             raise ValueError("antenna count k must satisfy 1 <= k <= smallest n")
+        if self.mode == "single" and self.k != 1:
+            raise ValueError("single mode has one receive antenna: k must be 1")
         _check_budget(self.budget)
 
 
@@ -106,14 +108,12 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     if config.mode == "single":
         h = rng.standard_normal(n)
         res = solve_single(h, power, **kwargs)
-        k = 1
         rate = rate_from_objective(res.f_star, h, power)
     else:
         h_matrix = rng.standard_normal((n, config.k))
         channel = MimoChannel(h_matrix=h_matrix, power=power)
         gram, dec = build_gram_mimo(channel)
         res = solve_dpk(gram, dec, **kwargs)
-        k = config.k
         rate = max(0.0, -0.5 * math.log2(res.f_star))
 
     f_oracle = None
@@ -132,7 +132,7 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     record = TrialRecord(
         trial_id=trial_id,
         n=n,
-        k=k,
+        k=config.k,
         power=power,
         seed=config.seed ^ trial_id,
         f_alg=res.f_star,

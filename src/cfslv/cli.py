@@ -30,7 +30,7 @@ from .bench import (
 )
 from .core import CoefficientVector, GramMatrix, SolverResult
 from .errors import ResourceBudgetError
-from .gram import MimoChannel, build_gram_mimo, build_gram_single
+from .gram import MimoChannel, build_gram_mimo, build_gram_single, search_radius_psi
 from .oracle import brute_force_slv
 from .rate import computation_rate, rate_from_objective
 from .solver_dpk import solve_dpk
@@ -111,12 +111,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     h = parse_vector(args.h)
     kwargs = {} if args.budget is None else {"budget": args.budget}
     res = solve_single(h, args.power, **kwargs)
-    scale = 1.0 + args.power * float(h @ h)
     print_document([
         ("command", "solve"),
         ("n", h.size),
         ("power", float(args.power)),
-        ("psi", math.sqrt(scale)),
+        ("psi", search_radius_psi(build_gram_single(h, args.power))),
         ("f_star", res.f_star),
         ("a_star", _int_csv(res.a_star.entries)),
         ("rate_bits", rate_from_objective(res.f_star, h, args.power)),

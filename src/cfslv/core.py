@@ -87,10 +87,9 @@ class GramMatrix:
     eigenvalue from that solve is kept as min_eigenvalue, so search
     radii never eigensolve the matrix again.  These checks run on every
     matrix a caller passes in.  build_gram_single and build_gram_mimo
-    skip them: they check finiteness and symmetrize the same way, and
-    take min_eigenvalue from the closed-form spectrum of the G they
-    built (build_gram_single runs them when rounding could make its G
-    indefinite).
+    skip them for a G they built finite and symmetric, and take
+    min_eigenvalue from its closed-form spectrum (build_gram_single runs
+    them when rounding could make its G indefinite).
     """
 
     entries: np.ndarray

@@ -119,7 +119,9 @@ def build_gram_single(h, power: float) -> GramMatrix:
         g = scale * np.eye(h.n) - power * np.outer(hv, hv)
     if h.n * np.finfo(float).eps * scale >= 0.25:
         return GramMatrix(g)
-    return _built_gram(g, 1.0)
+    # g is finite and exactly symmetric, as outer(h, h) is, so
+    # _built_gram's check and symmetrization would change no bit
+    return _unchecked(GramMatrix, entries=_freeze(g), min_eigenvalue=1.0)
 
 
 def dpk_from_single(h, power: float) -> DpkDecomposition:

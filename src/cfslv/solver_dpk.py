@@ -5,8 +5,8 @@ signed unit vector or a coordinate-wise rounding of R x, R =
 diag(d)^-1 V, for some x in R^k.  The rounding pattern of that map is
 constant on the cells of the arrangement of hyperplanes r_i x = c,
 c a half-integer.  The rows of R span R^k, so every cell is pointed and
-touches a vertex, and the cell of an optimum within the norm bound
-touches a vertex with |c| <= ceil(psi) + 1/2.  The solver therefore
+touches a vertex, and the cell of an optimum within the norm bound psi
+touches a vertex with |c| <= floor(psi) + 1/2.  The solver therefore
 scores the rounded cells at each vertex.  Each vertex is solved from k
 rows pi at right-hand side c and keeps that label (pi, c).  At a
 generic vertex only the label rows pass through it, so its 2^k cells
@@ -40,8 +40,8 @@ from .core import (
     _solver_result,
 )
 from .errors import ResourceBudgetError
-from .gram import search_radius_psi, validate_dpk
-from .solver_single import _TIE_RTOL, _Found, _rank_one_search
+from .gram import _radius_eigenvalue, validate_dpk
+from .solver_single import _TIE_RTOL, _Found, _norm_ceiling, _rank_one_search
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
@@ -108,21 +108,21 @@ def _grid_order(pts: np.ndarray) -> np.ndarray:
     return np.lexsort(np.vstack([pts.T[::-1], np.round(pts / VERTEX_DEDUP_TOL).T[::-1]]))
 
 
-def _vertex_labels(dec: DpkDecomposition, psi: float) -> _Vertices:
+def _vertex_labels(dec: DpkDecomposition, cmax: int) -> _Vertices:
     """Arrangement vertices x solving (diag(d)^-1 V)_pi x = c.
 
     Every size-k row subset pi whose submatrix is nonsingular is paired
-    with every vector c of half-integers bounded by ceil(psi) + 1/2, and
+    with every vector c of half-integers bounded by cmax + 1/2, and
     all pairs are solved in one batched LAPACK call.  Singular subsets
     are skipped: those whose rows of diag(d)^-1/2 V have a singular
     value ratio at or below 1e-10, the test DpkDecomposition applies to
     all of it.  Only the copies of degenerate vertices are merged: in
     _grid_order's order, a copy closer than 1e-9 in Euclidean distance
     to its predecessor is merged into it.  solve_dpk checks the solve
-    count C(n,k) * (2 ceil(psi) + 2)^k against its budget first.
+    count C(n, k) (2 cmax + 2)^k against its budget first.
     """
     k = dec.k
-    c, w = _label_grid(k, math.ceil(psi))
+    c, w = _label_grid(k, cmax)
     rows = np.array(list(itertools.combinations(range(dec.n), k)), dtype=np.intp)
     sv = np.linalg.svd((dec.v / np.sqrt(dec.d)[:, None])[rows], compute_uv=False)
     rows = rows[(sv[:, 0] != 0.0) & (sv[:, -1] > RANK_SV_RTOL * sv[:, 0])]
@@ -200,7 +200,7 @@ def _vertex_cells(verts: _Vertices, ratios: np.ndarray,
     return base + (up & tight[owner]), owner
 
 
-def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
+def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
                    budget: int | None, best_f: float) -> _Found:
     """Best rounded cell at the arrangement vertices that beats best_f on
     G, for k >= 2.
@@ -218,7 +218,7 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, psi: float,
     one.  Returns (a, its vertex, candidates scored, vertices) as
     _rank_one_search does.
     """
-    verts = _vertex_labels(dec, psi)
+    verts = _vertex_labels(dec, cmax)
     # C(#vertices, k+1) no longer measures the work (the candidate
     # count in _vertex_cells does); it still refuses the instances
     # it refused when every (k+1)-subset of vertices was scored
@@ -292,11 +292,11 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     G.  The witness is a point x of a_star's closed cell, |diag(d)^-1 V
     x - a_star| <= 1/2 entrywise: the interval midpoint for k = 1, the
     vertex that produced a_star for k >= 2.  Raises
-    ResourceBudgetError if the vertex bound C(n, k) (2 ceil(psi) + 2)^k
-    exceeds budget, checked once before either search, and for k >= 2 if
-    the number of vertex subsets C(#vertices, k+1) or of candidates
-    does, both counted before any candidate is built; and ValueError if
-    budget is below 1.
+    ResourceBudgetError if the vertex bound C(n, k) (2 cmax + 2)^k
+    exceeds budget, checked once before either search by _norm_ceiling,
+    and for k >= 2 if the number of vertex subsets C(#vertices, k+1) or
+    of candidates does, both counted before any candidate is built; and
+    ValueError if budget is below 1 or lambda_min(G) <= 1e-12.
     """
     t0 = time.perf_counter()
     _check_budget(budget)
@@ -316,18 +316,13 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         built = isinstance(dec, DpkDecomposition) and dec._gram is g
         if not built and not validate_dpk(g, dec):
             raise ValueError("decomposition does not reproduce the Gram matrix")
-        # the bound is >= 1 mathematically; rounding in the eigensolve
-        # must not be allowed to truncate the half-integer range
-        psi = max(1.0, search_radius_psi(g))
-        worst_case = math.comb(dec.n, dec.k) * (2 * math.ceil(psi) + 2) ** dec.k
-        if budget is not None and worst_case > budget:
-            raise ResourceBudgetError(f"vertex bound {worst_case} exceeds budget {budget}")
+        cmax = _norm_ceiling(best_f, _radius_eigenvalue(g), dec.n, dec.k, budget)
         if dec.k == 1:
             v = dec.v[:, 0]
             a, best_x, scored, vertex_count = _rank_one_search(
-                g_arr, np.abs(v) / dec.d, dec.d, v, math.ceil(psi), best_f)
+                g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
         else:
-            a, best_x, scored, vertex_count = _vertex_search(g_arr, dec, psi, budget, best_f)
+            a, best_x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
         candidates += scored
         if a is not None:
             best_a = a

@@ -6,8 +6,9 @@ some x > 0 (round(-x*h) = -round(x*h), and f(-a) = f(a)).  As x grows,
 |round(x*h_j)| steps from c to c + 1 where x crosses (c + 1/2) / |h_j|;
 that adds 2c + 1 to |a|^2 and |h_j| to |h.a|.  Sorting the crossings
 once and taking prefix sums therefore scores every rounding pattern
-within the norm bound psi = sqrt(1 + P|h|^2) in O(1) each; the few
-near the minimum are scored again on G to pick the winner.
+within the norm bound psi = sqrt(min_j G_jj / lambda_min) in O(1)
+each; the few near the minimum are scored again on G to pick the
+winner.
 """
 
 from __future__ import annotations
@@ -26,12 +27,25 @@ from .core import (
     _solver_result,
 )
 from .errors import ResourceBudgetError
-from .gram import _check_power, _single_scale
+from .gram import _check_power, _radius_eigenvalue, _single_scale, build_gram_single
 
 DEFAULT_BREAKPOINT_BUDGET = 10_000_000
 _TIE_RTOL = 1e-9
 # (a winner or None, its witness or None, candidates scored, breakpoint_count)
 _Found = tuple[np.ndarray | None, np.ndarray | None, int, int]
+
+
+def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int, budget: int | None) -> int:
+    """Both solvers' cmax = max(1, ceil(psi (1 - 1e-9))), psi^2 = best_f /
+    lam_min: a vector below best_f has |a| < psi, so its cell's vertices
+    have |c| <= floor(psi) + 1/2 <= cmax + 1/2, and rounding that lifts
+    psi just above an integer adds no ring.  Raises ResourceBudgetError
+    if the vertex bound C(n, k) (2 cmax + 2)^k exceeds budget."""
+    cmax = max(1, math.ceil(math.sqrt(best_f / lam_min) * (1.0 - 1e-9)))
+    bound = math.comb(n, k) * (2 * cmax + 2) ** k
+    if budget is not None and bound > budget:
+        raise ResourceBudgetError(f"vertex bound {bound} exceeds budget {budget}")
+    return cmax
 
 
 def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndarray,
@@ -88,12 +102,13 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
 def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> SolverResult:
     """Exact minimizer of a^T G a over nonzero integer vectors.
 
-    Initializes with the best signed unit vector, then runs
-    _rank_one_search on x*h over c = 0..ceil(psi): the winner must be
-    strictly lower on G, and an exact tie goes to the smallest x.
-    Raises ResourceBudgetError if the worst-case breakpoint count n * (2
-    ceil(psi) + 2) exceeds budget, and ValueError if budget is below 1
-    or 1 + P|h|^2 overflows a float.
+    G is build_gram_single's.  Initializes with the best signed unit
+    vector, then runs _rank_one_search on x*h over c = 0..cmax, cmax
+    from _norm_ceiling: the winner must be strictly lower on G, and an
+    exact tie goes to the smallest x.  Raises ResourceBudgetError if the
+    vertex bound n (2 cmax + 2) exceeds budget, and ValueError if budget
+    is below 1, if 1 + P|h|^2 overflows a float, or if the rounded G is
+    not positive definite or numerically singular.
     """
     t0 = time.perf_counter()
     _check_budget(budget)
@@ -102,14 +117,11 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     hv = h.entries
     n = h.n
     scale = _single_scale(hv, power)
-    g_arr = scale * np.eye(n) - power * np.outer(hv, hv)
+    gram = build_gram_single(h, power)
+    g_arr = gram.entries
 
     best_f, best_a = _best_unit_vector(g_arr)
-
-    psi = math.sqrt(scale)
-    worst_case = n * (2 * math.ceil(psi) + 2)
-    if budget is not None and worst_case > budget:
-        raise ResourceBudgetError(f"breakpoint bound {worst_case} exceeds budget {budget}")
+    cmax = _norm_ceiling(best_f, _radius_eigenvalue(gram), n, 1, budget)
     a, x, scored, crossings = _rank_one_search(
-        g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, math.ceil(psi), best_f)
+        g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)
     return _solver_result(g_arr, best_a if a is None else a, x, t0, n + scored, crossings)

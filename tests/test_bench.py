@@ -40,6 +40,8 @@ def test_config_validation():
         BenchConfig(mode="single", trials=1, n_range=(2, 4), power_range=(0.0, 2.0), seed=0)
     with pytest.raises(ValueError):
         BenchConfig(mode="mimo", trials=1, n_range=(2, 4), power_range=(1.0, 2.0), seed=0, k=3)
+    with pytest.raises(ValueError, match="^single mode has one receive antenna: k must be 1$"):
+        BenchConfig(mode="single", trials=1, n_range=(5, 6), power_range=(1.0, 2.0), seed=0, k=5)
 
 
 def test_trial_rng_substreams_are_order_independent():

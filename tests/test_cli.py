@@ -33,7 +33,7 @@ def test_solve_document(capsys):
     assert float(doc["f_star"]) == 2.0
     assert doc["a_star"] == "1,1"
     assert abs(float(doc["rate_bits"]) - 0.660964) <= 1e-6
-    assert int(doc["breakpoint_count"]) == 8
+    assert int(doc["breakpoint_count"]) == 6
 
 
 def test_solve_zero_channel(capsys):
@@ -164,9 +164,16 @@ def test_parse_vector_errors():
 
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(
-        ["solve", "--h", "1", "--power", "1e16", "--budget", "1000"], capsys)
+        ["solve", "--h", "1,1", "--power", "1e5", "--budget", "1000"], capsys)
     assert code == 3
-    assert "budget" in err
+    assert err == "error: vertex bound 1272 exceeds budget 1000\n"
+
+
+def test_rounding_singular_gram_is_input_error(capsys):
+    code, out, err = run_cli(["solve", "--h", "1", "--power", "1e16"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Gram matrix is not positive definite (smallest eigenvalue 0.000e+00)\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "mimo", "oracle", "bench"])

@@ -20,23 +20,29 @@ from cfslv.gram import (
 )
 from cfslv.oracle import brute_force_slv, certification_radius
 from cfslv.solver_dpk import _vertex_cells, _vertex_labels, solve_dpk
-from cfslv.solver_single import solve_single
+from cfslv.solver_single import _norm_ceiling, solve_single
 
 
 def rank_one_dec():
     return DpkDecomposition(d=np.array([5.0, 5.0]), v=np.full((2, 1), np.sqrt(2.0)))
 
 
-def vertex_set(dec, psi):
+def cmax_of(gram, dec):
+    """The ceiling solve_dpk searches on this pair, without a budget."""
+    return _norm_ceiling(float(np.min(np.diag(gram.entries))), gram.min_eigenvalue,
+                         dec.n, dec.k, None)
+
+
+def vertex_set(dec, cmax):
     """The distinct vertices _vertex_labels finds: every generic vertex in
     label order, then one copy of each degenerate vertex in merged order."""
-    verts = _vertex_labels(dec, psi)
+    verts = _vertex_labels(dec, cmax)
     generic = verts.x.transpose(0, 2, 1)[verts.generic]
     return np.vstack([generic, verts.at(verts.x, verts.merged)])
 
 
 def test_vertex_set_rank_one():
-    verts = vertex_set(rank_one_dec(), np.sqrt(3.0))
+    verts = vertex_set(rank_one_dec(), 2)
     # both coordinate subsets give the same line positions c * 5 / sqrt(2)
     expected = sorted(c * 5.0 / np.sqrt(2.0) for c in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5))
     assert verts.shape[0] == 6
@@ -45,14 +51,14 @@ def test_vertex_set_rank_one():
 
 def test_vertex_set_skips_zero_rows():
     dec = DpkDecomposition(d=np.array([4.0, 4.0]), v=np.array([[np.sqrt(3.0)], [0.0]]))
-    verts = vertex_set(dec, 1.0)
+    verts = vertex_set(dec, 1)
     # only the first coordinate contributes: c * 4 / sqrt(3), c in {+-.5, +-1.5}
     assert verts.shape[0] == 4
 
 
 def test_vertex_set_square_case():
     dec = DpkDecomposition(d=np.array([2.0]), v=np.array([[1.0]]))
-    verts = vertex_set(dec, 1.0)
+    verts = vertex_set(dec, 1)
     assert sorted(verts[:, 0].tolist()) == [-3.0, -1.0, 1.0, 3.0]
 
 
@@ -72,9 +78,9 @@ def test_vertex_set_matches_per_subset_solves():
         if rows is not None:
             h[rows[1]] = h[rows[0]]
         gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=1.5))
-        psi = max(1.0, search_radius_psi(gram))
-        verts = vertex_set(dec, psi)
-        cs = np.arange(-math.ceil(psi) - 0.5, math.ceil(psi) + 1.0)
+        cmax = cmax_of(gram, dec)
+        verts = vertex_set(dec, cmax)
+        cs = np.arange(-cmax - 0.5, cmax + 1.0)
         rhs = np.array(list(itertools.product(cs, repeat=k))).T
         ratios = dec.v / dec.d[:, None]
         solved = []
@@ -197,7 +203,10 @@ def test_agrees_with_single_antenna_solver(draw):
     # between intervals; both solvers give the tie to the earliest one
     rational = draw == "rational-power"
     rng = np.random.default_rng(71)
-    draws = [(np.array([2.0, -2.0, -1.0, -1.0]), 2.0)] if rational else []
+    # both sweep to psi = sqrt(min G_jj / lambda_min): 675 crossings at
+    # h = (1, 2, 3), P = 1e4, where sqrt(1 + P|h|^2) would give 1128
+    draws = [(np.array([2.0, -2.0, -1.0, -1.0]), 2.0)] if rational else [
+        (np.array([1.0, 2.0, 3.0]), 1e4)]
     for trial in range(600 if rational else 30):
         n = int(rng.integers(2, 7))
         if draw == "gaussian":
@@ -218,6 +227,21 @@ def test_agrees_with_single_antenna_solver(draw):
         slow = solve_dpk(build_gram_single(h, power), dpk_from_single(h, power))
         assert slow.a_star.entries.tolist() == fast.a_star.entries.tolist()
         assert slow.f_star == fast.f_star
+        assert slow.breakpoint_count == fast.breakpoint_count
+
+
+def test_ceiling_does_not_hang_on_the_last_bit_of_lambda_min():
+    # min G_jj / lambda_min is 49 here; the closed-form lambda_min and
+    # LAPACK's differ in the last bits and put psi on either side of 7,
+    # so ceil(psi) is 8 or 7, but cmax is 7 for both
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array([[-2.0], [-2.0], [3.0], [-2.0], [0.0]]),
+                                            power=4.0))
+    again = GramMatrix(gram.entries)
+    assert again.min_eigenvalue != gram.min_eigenvalue
+    built, checked = solve_dpk(gram, dec), solve_dpk(again, dec)
+    assert (built.breakpoint_count, built.candidates_evaluated) == (32, 26)
+    assert (checked.breakpoint_count, checked.candidates_evaluated) == (32, 26)
+    assert checked.a_star.entries.tolist() == built.a_star.entries.tolist() == [1, 1, -1, 1, 0]
 
 
 def test_norm_bound_and_vertex_count():
@@ -286,7 +310,7 @@ def test_candidate_budget_counts_before_building():
     # row, opposite to the first, passes through it too
     dec = ratio_dec([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.0]])
     ratios = dec.v / dec.d[:, None]
-    verts = _vertex_labels(dec, 1.0)
+    verts = _vertex_labels(dec, 1)
     cand, owner = _vertex_cells(verts, ratios, budget=None)
     point = [i for i, x in enumerate(verts.at(verts.x, verts.merged)) if np.allclose(x, 0.5)]
     assert len(point) == 1
@@ -336,7 +360,7 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
     dec = ratio_dec(ratios, d, top)
     gram = GramMatrix(np.diag(dec.d) - dec.v @ dec.v.T)
     res = solve_dpk(gram, dec, budget=None)
-    verts = _vertex_labels(dec, max(1.0, search_radius_psi(gram)))
+    verts = _vertex_labels(dec, cmax_of(gram, dec))
     assert res.breakpoint_count == verts.count
     if name != "zero-row":
         assert verts.merged.size > 0
@@ -391,10 +415,9 @@ def peak_bytes(call):
 def test_refusals_come_before_the_candidates_are_built():
     dec = crowded_dec()
     gram = GramMatrix(np.diag(dec.d) - dec.v @ dec.v.T)
-    psi = max(1.0, search_radius_psi(gram))
-    assert math.ceil(psi) == 3
+    assert cmax_of(gram, dec) == 3
     full = solve_dpk(gram, dec, budget=None)
-    verts = _vertex_labels(dec, psi)
+    verts = _vertex_labels(dec, 3)
     cells = full.candidates_evaluated - dec.n
     assert np.count_nonzero(verts.generic) * 4 < cells // 2
     # the candidate matrix alone takes this much
@@ -517,11 +540,12 @@ def test_rank_one_sweep_counts():
             continue
         power = float(rng.uniform(0.1, 20.0))
         gram = build_gram_single(h, power)
-        res = solve_dpk(gram, dpk_from_single(h, power))
+        dec = dpk_from_single(h, power)
+        res = solve_dpk(gram, dec)
         psi = max(1.0, search_radius_psi(gram))
-        # breakpoint_count counts the x > 0 crossings, c = 0..ceil(psi)
-        # on each nonzero coordinate
-        assert res.breakpoint_count == np.count_nonzero(h) * (math.ceil(psi) + 1)
+        # breakpoint_count counts the x > 0 crossings, c = 0..cmax, on
+        # each nonzero coordinate
+        assert res.breakpoint_count == np.count_nonzero(h) * (cmax_of(gram, dec) + 1)
         assert res.breakpoint_count <= n * (math.ceil(psi) + 1)
         # n unit vectors, then at most one open interval per crossing
         assert n < res.candidates_evaluated <= n + res.breakpoint_count

@@ -7,7 +7,7 @@ import pytest
 
 from cfslv.core import quadratic_form
 from cfslv.errors import ResourceBudgetError
-from cfslv.gram import build_gram_single, dpk_from_single
+from cfslv.gram import build_gram_single, dpk_from_single, search_radius_psi
 from cfslv.oracle import brute_force_slv, certification_radius
 from cfslv.solver_single import solve_single
 
@@ -16,10 +16,10 @@ def test_solve_hand_computed():
     res = solve_single([1.0, 1.0], 2.0)
     assert res.f_star == 2.0
     assert res.a_star.entries.tolist() == [1, 1]
-    # crossings 0.5, 1.5, 2.5, 3.5 for each coordinate; the three open
-    # intervals between them are scored after the two unit vectors
-    assert res.breakpoint_count == 8
-    assert res.candidates_evaluated == 5
+    # psi = sqrt(3), so crossings 0.5, 1.5, 2.5 for each coordinate; the
+    # two open intervals between them are scored after the two unit vectors
+    assert res.breakpoint_count == 6
+    assert res.candidates_evaluated == 4
     assert res.witness_point.tolist() == [1.0]
 
 
@@ -73,7 +73,7 @@ def test_norm_bound_holds():
         power = float(rng.uniform(0.1, 25.0))
         res = solve_single(h, power)
         norm = math.sqrt(float(res.a_star.entries @ res.a_star.entries))
-        assert norm <= math.sqrt(1.0 + power * float(h @ h)) + 1e-9
+        assert norm <= search_radius_psi(build_gram_single(h, power)) + 1e-9
 
 
 def test_candidate_count_bound():
@@ -83,7 +83,7 @@ def test_candidate_count_bound():
         h = rng.standard_normal(n)
         power = float(rng.uniform(0.1, 25.0))
         res = solve_single(h, power)
-        psi = math.sqrt(1.0 + power * float(h @ h))
+        psi = search_radius_psi(build_gram_single(h, power))
         cap = n * (2 * math.ceil(psi) + 2)
         assert res.breakpoint_count <= cap
         assert res.candidates_evaluated <= cap + n
@@ -200,8 +200,19 @@ def test_sweep_overflow_keeps_the_unit_vector():
 
 
 def test_budget_error_for_huge_psi():
-    with pytest.raises(ResourceBudgetError):
-        solve_single([1.0], 1.0e16, budget=10_000_000)
+    # psi = sqrt(1 + 1e14), so cmax = 1e7 and the vertex bound is 2 (2e7 + 2)
+    with pytest.raises(ResourceBudgetError, match="^vertex bound 40000004 exceeds budget 10000000$"):
+        solve_single([1.0, 1.0], 1e14, budget=10_000_000)
+
+
+def test_rounding_singular_gram_is_input_error():
+    # 1 + P|h|^2 rounds to P, so G rounds to [[0]]; build_gram_single
+    # refuses it, and so does solve_single, which builds the same G
+    message = r"^Gram matrix is not positive definite \(smallest eigenvalue 0.000e\+00\)$"
+    with pytest.raises(ValueError, match=message):
+        build_gram_single([1.0], 1e16)
+    with pytest.raises(ValueError, match=message):
+        solve_single([1.0], 1e16)
 
 
 def test_budget_none_disables_guard():
