@@ -17,12 +17,12 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .core import _check_budget
-from .gram import MimoChannel, build_gram_mimo, build_gram_single
+from .core import ChannelVector, _check_budget
+from .gram import MimoChannel, build_gram_mimo
 from .oracle import brute_force_slv, certification_radius
 from .rate import rate_from_objective
 from .solver_dpk import solve_dpk
-from .solver_single import solve_single
+from .solver_single import _solve_single
 
 MATCH_RTOL = 1e-9
 
@@ -106,8 +106,10 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
 
     kwargs = {} if config.budget is None else {"budget": config.budget}
     if config.mode == "single":
-        h = rng.standard_normal(n)
-        res = solve_single(h, power, **kwargs)
+        # validated once here; every call below skips it on the isinstance
+        h = ChannelVector(rng.standard_normal(n))
+        # the one G of the trial: searched by the solver, certified by the oracle
+        res, gram = _solve_single(h, power, **kwargs)
         rate = rate_from_objective(res.f_star, h, power)
     else:
         h_matrix = rng.standard_normal((n, config.k))
@@ -120,9 +122,6 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     match = None
     elapsed_oracle = 0.0
     if config.oracle:
-        if config.mode == "single":
-            # only the oracle reads the dense Gram matrix of a single-antenna trial
-            gram = build_gram_single(h, power)
         radius = certification_radius(gram, res.f_star)
         ores = brute_force_slv(gram, radius, **kwargs)
         f_oracle = ores.f_star

@@ -30,11 +30,11 @@ from .bench import (
 )
 from .core import CoefficientVector, GramMatrix, SolverResult
 from .errors import ResourceBudgetError
-from .gram import MimoChannel, build_gram_mimo, build_gram_single, search_radius_psi
+from .gram import MimoChannel, build_gram_mimo, search_radius_psi
 from .oracle import brute_force_slv
 from .rate import computation_rate, rate_from_objective
 from .solver_dpk import solve_dpk
-from .solver_single import solve_single
+from .solver_single import _solve_single
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -110,12 +110,12 @@ def _parse_range(text: str, kind: str) -> tuple:
 def cmd_solve(args: argparse.Namespace) -> int:
     h = parse_vector(args.h)
     kwargs = {} if args.budget is None else {"budget": args.budget}
-    res = solve_single(h, args.power, **kwargs)
+    res, gram = _solve_single(h, args.power, **kwargs)
     print_document([
         ("command", "solve"),
         ("n", h.size),
         ("power", float(args.power)),
-        ("psi", search_radius_psi(build_gram_single(h, args.power))),
+        ("psi", search_radius_psi(gram)),
         ("f_star", res.f_star),
         ("a_star", _int_csv(res.a_star.entries)),
         ("rate_bits", rate_from_objective(res.f_star, h, args.power)),

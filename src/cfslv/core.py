@@ -63,8 +63,8 @@ class CoefficientVector:
     def __post_init__(self) -> None:
         raw = np.asarray(self.entries)
         entries = np.array(raw, dtype=np.int64)
-        if not np.issubdtype(raw.dtype, np.integer):
-            if np.any(entries != np.asarray(raw, dtype=float)):
+        if raw.dtype.kind not in "iu":
+            if (entries != np.asarray(raw, dtype=float)).any():
                 raise ValueError("coefficients must be integers")
         if entries.ndim != 1 or entries.size < 1:
             raise ValueError("coefficients must form a one-dimensional vector")
@@ -246,11 +246,12 @@ def canonical_sign(a) -> CoefficientVector:
     """Flip a to -a if its first nonzero entry is negative.
 
     f(a) = f(-a), so solvers report the representative whose leading
-    nonzero entry is positive.
+    nonzero entry is positive.  The flipped vector is built unchecked:
+    the negation of a valid vector is valid.
     """
     a = as_coefficient_vector(a)
-    first = a.entries[np.flatnonzero(a.entries)[0]]
-    return a if first > 0 else CoefficientVector(-a.entries)
+    first = a.entries[a.entries.nonzero()[0][0]]
+    return a if first > 0 else _unchecked(CoefficientVector, entries=_freeze(-a.entries))
 
 
 def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
@@ -259,7 +260,7 @@ def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
     Both solvers start from it; the first j wins a tie.
     """
     diag = g_entries.diagonal()
-    j = int(np.argmin(diag))
+    j = int(diag.argmin())
     a = np.zeros(diag.size, dtype=np.int64)
     a[j] = 1
     return float(diag[j]), a

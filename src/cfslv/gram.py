@@ -28,6 +28,7 @@ from .core import (
 
 DPK_RESIDUAL_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def _radius_eigenvalue(g: GramMatrix) -> float:
@@ -47,7 +48,7 @@ def _built_gram(g: np.ndarray, lam_min: float) -> GramMatrix:
     bits and that error are unchanged, but not its symmetry test (G is
     symmetric up to gemm rounding) or its eigensolve.
     """
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("Gram matrix entries must be finite")
     return _unchecked(GramMatrix, entries=_freeze(0.5 * (g + g.T)), min_eigenvalue=lam_min)
 
@@ -86,7 +87,7 @@ class MimoChannel:
             raise ValueError("channel matrix must be two-dimensional")
         if not (1 <= h.shape[1] <= h.shape[0]):
             raise ValueError("antenna count k must satisfy 1 <= k <= n")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("channel gains must be finite")
         _check_power(self.power)
         object.__setattr__(self, "h_matrix", _freeze(h))
@@ -115,9 +116,10 @@ def build_gram_single(h, power: float) -> GramMatrix:
     power = _check_power(power)
     hv = h.entries
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = 1.0 + power * float(hv @ hv)
-        g = scale * np.eye(h.n) - power * np.outer(hv, hv)
-    if h.n * np.finfo(float).eps * scale >= 0.25:
+        scale = 1.0 + power * float(hv.dot(hv))
+        # hv[:, None] * hv is the multiply np.outer runs, without its wrapper
+        g = scale * np.eye(h.n) - power * (hv[:, None] * hv)
+    if h.n * _EPS * scale >= 0.25:
         return GramMatrix(g)
     # g is finite and exactly symmetric, as outer(h, h) is, so
     # _built_gram's check and symmetrization would change no bit
@@ -165,7 +167,7 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     with np.errstate(over="ignore", invalid="ignore"):
         outer = h @ h.T
         values, vectors = np.linalg.eigh(0.5 * (outer + outer.T))
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("H H^T overflows a float; scale the channel down")
     # eigh sorts ascending; take the top k pairs, largest first
     gains2 = values[::-1][:k]

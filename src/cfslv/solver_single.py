@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from .core import (
+    GramMatrix,
     SolverResult,
     as_channel_vector,
     quad_objective,
@@ -67,23 +68,24 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     half = np.arange(0.5, cmax + 1.0)
     with np.errstate(divide="ignore", over="ignore"):
         xs = (half / r[:, None]).ravel()
-    order = np.argsort(xs, kind="stable")
+    # method forms throughout: the same bits without numpy's function wrappers
+    order = xs.argsort(kind="stable")
     xs = xs[order]
     # zero entries and overflow give infinite crossings, which sort last
-    finite = int(np.searchsorted(xs, np.inf))
+    finite = int(xs.searchsorted(np.inf))
     order, xs = order[:finite], xs[:finite]
     # crossing i is (half[i % half.size], coordinate i // half.size)
     coord = order // half.size
-    opened = np.flatnonzero(xs[1:] > xs[:-1])
+    opened = (xs[1:] > xs[:-1]).nonzero()[0]
     counts = opened.size, xs.size
     # the first interval holds one unit vector, no better than best_f
     scored = opened[1:] if opened.size and opened[0] == 0 else opened
     if not scored.size:
         return None, None, *counts
-    norm2 = np.cumsum((d[:, None] * (2.0 * half)).ravel()[order])
-    dot = np.cumsum(np.abs(v)[coord])
+    norm2 = (d[:, None] * (2.0 * half)).ravel()[order].cumsum()
+    dot = np.abs(v)[coord].cumsum()
     f = (norm2 - dot * dot)[scored]
-    m = int(np.argmin(f))
+    m = int(f.argmin())
     tol = _TIE_RTOL * norm2[scored[m]]
     # G's values differ from these by rounding, far below tol
     if f[m] > best_f + tol:
@@ -92,7 +94,7 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     sign = np.sign(v).astype(np.int64)
     cand = [np.bincount(coord[: i + 1], minlength=d.size) * sign for i in near]
     f_g = [quad_objective(g_arr, a) for a in cand]
-    j = int(np.argmin(f_g))
+    j = f_g.index(min(f_g))
     if not f_g[j] < best_f:
         return None, None, *counts
     i = int(near[j])
@@ -110,12 +112,21 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     is below 1, if 1 + P|h|^2 overflows a float, or if the rounded G is
     not positive definite or numerically singular.
     """
+    return _solve_single(h, power, budget=budget)[0]
+
+
+def _solve_single(h, power: float, *,
+                  budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> tuple[SolverResult, GramMatrix]:
+    """solve_single's result and the G it searched, so a caller that
+    needs G too (an oracle, a printed psi) does not build it again.
+    elapsed_seconds includes G's build."""
     t0 = time.perf_counter()
     _check_budget(budget)
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries
     n = h.n
+    # before G's build, so an overflowing 1 + P|h|^2 reports as such
     scale = _single_scale(hv, power)
     gram = build_gram_single(h, power)
     g_arr = gram.entries
@@ -124,4 +135,5 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     cmax = _norm_ceiling(best_f, _radius_eigenvalue(gram), n, 1, budget)
     a, x, scored, crossings = _rank_one_search(
         g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)
-    return _solver_result(g_arr, best_a if a is None else a, x, t0, n + scored, crossings)
+    res = _solver_result(g_arr, best_a if a is None else a, x, t0, n + scored, crossings)
+    return res, gram

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import cfslv.bench
+import cfslv.gram
 from cfslv.bench import (
     BenchConfig,
     CSV_FIELDS,
@@ -24,6 +26,12 @@ from cfslv.bench import (
     trial_rng,
     without_timing,
 )
+from cfslv.cli import main as cli_main
+from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
+from cfslv.oracle import brute_force_slv, certification_radius
+from cfslv.rate import rate_from_objective
+from cfslv.solver_dpk import solve_dpk
+from cfslv.solver_single import solve_single
 
 SINGLE_CFG = BenchConfig(mode="single", trials=10, n_range=(2, 4),
                          power_range=(0.5, 5.0), seed=101, oracle=True)
@@ -76,18 +84,87 @@ def test_run_trial_without_oracle_leaves_optional_fields_empty():
     assert rec.elapsed_oracle_s == 0.0
 
 
-def test_run_trial_without_oracle_builds_no_single_gram(monkeypatch):
+def _count_single_gram_builds(monkeypatch) -> list:
+    """Patch build_gram_single in every cfslv module that holds it with a
+    wrapper that notes each call; returns the list of notes."""
+    calls = []
+    real = cfslv.gram.build_gram_single
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cfslv" and getattr(module, "build_gram_single", None) is real:
+            monkeypatch.setattr(module, "build_gram_single", counting)
+    return calls
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_single_trial_builds_one_gram(monkeypatch, oracle):
     cfg = BenchConfig(mode="single", trials=1, n_range=(2, 5),
-                      power_range=(0.5, 5.0), seed=13)
+                      power_range=(0.5, 5.0), seed=13, oracle=oracle)
     expected, expected_cand = run_trial(cfg, 3)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Gram matrix is built without an oracle")
-
-    monkeypatch.setattr(cfslv.bench, "build_gram_single", refuse)
+    calls = _count_single_gram_builds(monkeypatch)
     rec, cand = run_trial(cfg, 3)
+    assert len(calls) == 1
     assert cand == expected_cand
-    assert dataclasses.replace(rec, elapsed_alg_s=0.0) == dataclasses.replace(expected, elapsed_alg_s=0.0)
+    assert dataclasses.replace(rec, elapsed_alg_s=0.0, elapsed_oracle_s=0.0) == \
+        dataclasses.replace(expected, elapsed_alg_s=0.0, elapsed_oracle_s=0.0)
+
+
+def test_cli_solve_builds_one_gram(monkeypatch, capsys):
+    calls = _count_single_gram_builds(monkeypatch)
+    assert cli_main(["solve", "--h", "1.2,-0.7,0.3", "--power", "4"]) == 0
+    assert "psi " in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def _public_record(config: BenchConfig, trial_id: int):
+    """run_trial's record and candidate count rebuilt from the public
+    calls, plus the SolverResult, for the same draw."""
+    rng = trial_rng(config.seed, trial_id)
+    n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
+    p_lo, p_hi = config.power_range
+    power = float(np.exp(rng.uniform(math.log(p_lo), math.log(p_hi))))
+    if config.mode == "single":
+        h = rng.standard_normal(n)
+        res = solve_single(h, power)
+        gram = build_gram_single(h, power)
+        rate = rate_from_objective(res.f_star, h, power)
+    else:
+        gram, dec = build_gram_mimo(MimoChannel(h_matrix=rng.standard_normal((n, config.k)),
+                                                power=power))
+        res = solve_dpk(gram, dec)
+        rate = max(0.0, -0.5 * math.log2(res.f_star))
+    ores = brute_force_slv(gram, certification_radius(gram, res.f_star))
+    values = (n, power, res.f_star, ores.f_star, rate,
+              match_within_tolerance(res.f_star, ores.f_star))
+    return values, res.candidates_evaluated, res
+
+
+@pytest.mark.parametrize("mode, k, n_range, power_range", [
+    ("single", 1, (2, 6), (0.1, 10.0)),
+    ("mimo", 1, (2, 6), (0.1, 10.0)),
+    ("mimo", 2, (2, 3), (0.1, 1.0)),
+])
+def test_run_trial_has_the_bits_of_the_public_calls(mode, k, n_range, power_range):
+    config = BenchConfig(mode=mode, trials=200, n_range=n_range, power_range=power_range,
+                         seed=2024, k=k, oracle=True)
+    unit_won = led_negative = 0
+    for trial_id in range(config.trials):
+        rec, cand = run_trial(config, trial_id)
+        values, public_cand, res = _public_record(config, trial_id)
+        got = (rec.n, rec.power, rec.f_alg, rec.f_oracle, rec.rate_bits, rec.match)
+        assert [float(x).hex() for x in got[:5]] == [float(x).hex() for x in values[:5]]
+        assert got[5] is values[5] is True
+        assert cand == public_cand
+        unit_won += res.witness_point is None
+        # for k = 1 the witness is x > 0 unless canonical_sign negated it
+        led_negative += k == 1 and res.witness_point is not None and res.witness_point[0] < 0.0
+    assert unit_won > 0
+    if k == 1:
+        assert led_negative > 0
 
 
 def test_run_trial_mimo_mode():

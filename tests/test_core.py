@@ -111,6 +111,33 @@ def test_coefficient_vector_accepts_integral_floats():
     assert CoefficientVector(np.array([1.0, -2.0])).entries.tolist() == [1, -2]
 
 
+@pytest.mark.parametrize("raw, expected", [
+    (np.array([True, False, True]), [1, 0, 1]),
+    (np.array([3, 0, 255], dtype=np.uint8), [3, 0, 255]),
+    (np.array([-128, 0, 127], dtype=np.int8), [-128, 0, 127]),
+    (np.array([2, -5, 0], dtype=object), [2, -5, 0]),
+    (np.array([4.0, -0.0, -3.0]), [4, 0, -3]),
+])
+def test_coefficient_vector_accepts_integer_valued_input(raw, expected):
+    a = CoefficientVector(raw)
+    assert a.entries.dtype == np.int64 and a.entries.tolist() == expected
+    assert not a.entries.flags.writeable
+
+
+@pytest.mark.parametrize("raw", [[1.5, 0], np.array([[1, 0], [0, 1]])])
+def test_coefficient_vector_rejects_fractional_or_matrix_input(raw):
+    with pytest.raises(ValueError):
+        CoefficientVector(raw)
+
+
+def test_canonical_sign_of_negative_leading_vector_is_read_only_int64():
+    a = canonical_sign(np.array([0, -2, 1], dtype=np.int8))
+    assert a.entries.dtype == np.int64 and a.entries.tolist() == [0, 2, -1]
+    assert not a.entries.flags.writeable
+    with pytest.raises(ValueError):
+        a.entries[0] = 1
+
+
 def test_channel_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         ChannelVector(np.array([1.0, np.inf]))
