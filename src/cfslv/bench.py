@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
@@ -25,6 +26,8 @@ from .solver_dpk import solve_dpk
 from .solver_single import _solve_single
 
 MATCH_RTOL = 1e-9
+# Philox keys are 128-bit; seed ^ trial_id must fit.
+_KEY_BOUND = 2**128
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,8 @@ class BenchConfig:
             raise ValueError("power range must satisfy 0 < lo <= hi")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.seed >= _KEY_BOUND:
+            raise ValueError("seed must be less than 2**128")
         if self.mode == "mimo" and not (1 <= self.k <= n_lo):
             raise ValueError("antenna count k must satisfy 1 <= k <= smallest n")
         if self.mode == "single" and self.k != 1:
@@ -92,13 +97,46 @@ def trial_rng(seed: int, trial_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed ^ trial_id))
 
 
+_THREAD = threading.local()
+
+
+def _trial_generator(key: int) -> np.random.Generator:
+    """trial_rng's stream for key = seed ^ trial_id, from this thread's
+    one generator, reset on every call.
+
+    A Philox stream is its (key, counter) pair (Salmon et al., SC 2011),
+    so the key, a zero counter and an empty buffer give the draws of a
+    new Philox(key=key), without the OS-entropy SeedSequence that its
+    constructor builds first.  The generator is made on first use, not
+    at import, and one per thread, so threads never share a stream.  The
+    next call on the same thread resets it, so a caller that must hold
+    its stream takes trial_rng instead.
+    """
+    key = int(key)
+    if not 0 <= key < _KEY_BOUND:
+        raise ValueError("key must be positive and less than 2**128.")
+    try:
+        gen = _THREAD.generator
+    except AttributeError:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key & (2**64 - 1), key >> 64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def match_within_tolerance(f_alg: float, f_oracle: float) -> bool:
     return abs(f_alg - f_oracle) <= MATCH_RTOL * max(1.0, f_oracle)
 
 
 def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     """Run one trial; returns the record and the candidate count."""
-    rng = trial_rng(config.seed, trial_id)
+    rng = _trial_generator(config.seed ^ trial_id)
     n_lo, n_hi = config.n_range
     n = int(rng.integers(n_lo, n_hi + 1))
     p_lo, p_hi = config.power_range

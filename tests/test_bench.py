@@ -3,7 +3,13 @@
 import dataclasses
 import json
 import math
+import os
+import random
+import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ import pytest
 import cfslv.bench
 import cfslv.gram
 from cfslv.bench import (
+    _trial_generator,
     BenchConfig,
     CSV_FIELDS,
     BenchResult,
@@ -57,6 +64,116 @@ def test_trial_rng_substreams_are_order_independent():
     _ = trial_rng(99, 7).standard_normal(4)
     a_again = trial_rng(99, 3).standard_normal(4)
     assert np.array_equal(a_first, a_again)
+
+
+# run_trial's first draw rejects a zero word, so a stale zero buffer or
+# buffered uint32 shows only behind a first draw that takes it as it is
+FIRST_DRAWS = [
+    lambda rng: rng.integers(2, 7),
+    lambda rng: rng.random(3),
+    lambda rng: rng.integers(0, 2**32, size=3, dtype=np.uint32),
+]
+
+
+def _draws(rng: np.random.Generator, first) -> list:
+    """first(rng), run_trial's kinds of draw, then enough more to cross
+    Philox's four-word buffer and its buffered uint32 several times."""
+    return [
+        first(rng),
+        rng.integers(2, 7),
+        rng.uniform(-2.3, 2.3),
+        rng.standard_normal(5),
+        rng.standard_normal((3, 2)),
+        rng.integers(0, 5, size=7),
+        rng.integers(0, 2**40, size=5),
+        rng.uniform(size=9),
+        rng.standard_normal(11),
+    ]
+
+
+def _same_draws(a: list, b: list) -> bool:
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a, b))
+
+
+def _check_stream(key: int) -> None:
+    # leave a half-used buffer and a buffered uint32 behind the reset
+    stale = _trial_generator(12345)
+    stale.integers(0, 5, size=3)
+    state = stale.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] != 4
+    for first in FIRST_DRAWS:
+        assert _same_draws(_draws(_trial_generator(key), first), _draws(trial_rng(key, 0), first))
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**64 + 5, 2**128 - 1])
+def test_trial_generator_draws_the_stream_of_trial_rng(key):
+    _check_stream(key)
+
+
+def test_trial_generator_draws_the_stream_of_trial_rng_on_random_keys():
+    keys = random.Random(128)
+    for _ in range(200):
+        _check_stream(keys.getrandbits(128))
+
+
+@pytest.mark.parametrize("key", [2**128, -1])
+def test_trial_generator_rejects_the_keys_philox_rejects(key):
+    with pytest.raises(ValueError) as philox:
+        np.random.Philox(key=key)
+    with pytest.raises(ValueError) as ours:
+        _trial_generator(key)
+    assert str(ours.value) == str(philox.value) == "key must be positive and less than 2**128."
+
+
+def test_trial_rng_held_across_run_trial_keeps_its_stream():
+    held = trial_rng(99, 3)
+    first = held.standard_normal(4)
+    run_trial(SINGLE_CFG, 3)
+    run_trial(SINGLE_CFG, 4)
+    rest = held.standard_normal(6)
+    fresh = trial_rng(99, 3)
+    assert _same_draws([first, rest], [fresh.standard_normal(4), fresh.standard_normal(6)])
+
+
+def test_threads_running_run_trial_draw_their_own_streams():
+    config = dataclasses.replace(SINGLE_CFG, trials=120, n_range=(2, 6))
+    zeroed = lambda rec: dataclasses.replace(rec, elapsed_alg_s=0.0, elapsed_oracle_s=0.0)
+    serial = [(zeroed(rec), cand) for rec, cand in
+              (run_trial(config, i) for i in range(config.trials))]
+    start = threading.Barrier(4)
+
+    def run_share(first: int) -> list:
+        start.wait(timeout=60)
+        return [(i, *run_trial(config, i)) for i in range(first, config.trials, 4)]
+
+    # switch threads often, so that trials of different threads interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            shares = list(pool.map(run_share, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    threaded = sorted((i, zeroed(rec), cand) for share in shares for i, rec, cand in share)
+    assert [(rec, cand) for _, rec, cand in threaded] == serial
+
+
+def test_import_builds_no_generator():
+    src = Path(cfslv.bench.__file__).resolve().parent.parent
+    code = "import sys, cfslv; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_config_rejects_a_seed_beyond_the_key_range():
+    with pytest.raises(ValueError, match=r"^seed must be less than 2\*\*128$"):
+        BenchConfig(mode="single", trials=1, n_range=(2, 4), power_range=(1.0, 2.0),
+                    seed=2**128)
+    config = BenchConfig(mode="single", trials=1, n_range=(2, 4), power_range=(1.0, 2.0),
+                         seed=2**128 - 1)
+    assert run_trial(config, 0)[0].seed == 2**128 - 1
 
 
 def test_run_trial_is_reproducible():

@@ -192,6 +192,15 @@ def test_nonpositive_budget_is_input_error(tmp_path, capsys, command, budget):
     assert err == "error: budget must be positive\n"
 
 
+def test_bench_seed_beyond_the_key_range_is_input_error(capsys):
+    code, out, err = run_cli(
+        ["bench", "--trials", "2", "--n-range", "2:2", "--power-range", "1:1",
+         "--seed", str(2**128)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be less than 2**128\n"
+
+
 def test_extreme_power_mimo_is_input_error(tmp_path, capsys):
     # LAPACK's smallest eigenvalue of this G is -8e-18
     path = tmp_path / "H.txt"
