@@ -52,14 +52,6 @@ def parse_vector(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def parse_int_vector(text: str) -> np.ndarray:
-    values = parse_vector(text)
-    rounded = np.round(values)
-    if np.any(values != rounded):
-        raise ValueError(f"coefficients must be integers, got {text!r}")
-    return rounded.astype(np.int64)
-
-
 def read_matrix(path: str) -> np.ndarray:
     """Matrix file: a header line "n k", then n rows of k numbers."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -168,7 +160,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     h = parse_vector(args.h)
-    a = CoefficientVector(parse_int_vector(args.a))
+    a = CoefficientVector(parse_vector(args.a))
     print_document([
         ("command", "rate"),
         ("n", h.size),

@@ -62,10 +62,12 @@ class CoefficientVector:
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.entries)
-        entries = np.array(raw, dtype=np.int64)
         if raw.dtype.kind not in "iu":
-            if (entries != np.asarray(raw, dtype=float)).any():
-                raise ValueError("coefficients must be integers")
+            values = np.asarray(raw, dtype=float)
+            # nan, inf and values outside [-2**63, 2**63) fail before the cast
+            if not ((values >= -2.0**63) & (values < 2.0**63) & (values == np.round(values))).all():
+                raise ValueError("coefficients must be integers in [-2**63, 2**63)")
+        entries = np.array(raw, dtype=np.int64)
         if entries.ndim != 1 or entries.size < 1:
             raise ValueError("coefficients must form a one-dimensional vector")
         if not entries.any():
@@ -180,14 +182,15 @@ class SolverResult:
 
     f_star is the objective recomputed from scratch at a_star, so it is
     reproducible independent of any incremental arithmetic used during
-    the search.  A candidate must be strictly lower on G than the best
-    unit vector; solve_single and rank-one solve_dpk give an exact tie
-    between candidates to the smallest x.  witness_point is a point x of
-    a_star's closed cell (None when a unit vector won): for solve_single
-    an interval midpoint with round(x h) = a_star; for solve_dpk
+    the search.  Every solver picks a_star by quad_objective on G, the
+    function f_star comes from: the lowest candidate wins if it is
+    strictly below the best unit vector, and an exact tie between
+    candidates goes to the smallest x for k = 1 and to the first vertex
+    on the 1e-9 grid for k >= 2.  witness_point is a point x of a_star's
+    closed cell (None when a unit vector won): for solve_single an
+    interval midpoint with round(x h) = a_star; for solve_dpk
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
-    for k = 1 and, for k >= 2, the first vertex on the 1e-9 grid among
-    the vertices of the cells that tie on G.
+    for k = 1 and the vertex of that tie rule for k >= 2.
     """
 
     a_star: CoefficientVector

@@ -15,8 +15,9 @@ every other row rounds to nearest.  At a degenerate vertex more rows
 pass through it (commensurate or parallel rows); only those vertices
 are merged, and their rows round down or up, one choice per direction.
 Every candidate is scored in O(nk) from the low-rank form, and the few
-near the minimum again on G.  For k = 1 the vertices are the crossings
-of one line, and the solver runs solve_single's search instead.
+near the minimum again on G with quad_objective.  For k = 1 the
+vertices are the crossings of one line, and the solver runs
+solve_single's search instead.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     DpkDecomposition,
     SolverResult,
     as_gram_matrix,
+    quad_objective,
     _best_unit_vector,
     _check_budget,
     _freeze,
@@ -210,13 +212,13 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     degenerate vertices go through _vertex_cells.  Every candidate a is
     scored as sum d a^2 - |V^T a|^2, in O(nk).  Those values differ from
     G's in the last bits, so the candidates within 1e-9 sum d a^2 (taken
-    at the minimum) of the minimum are scored again on G with one
-    einsum; the lowest must be strictly below best_f.  A tie on G goes to
-    the candidate whose vertex comes first lexicographically on the 1e-9
-    grid, then to the first of its cells in candidate order: by pattern
-    number at a generic vertex, in _vertex_cells' order at a degenerate
-    one.  Returns (a, its vertex, candidates scored, vertices) as
-    _rank_one_search does.
+    at the minimum) of the minimum are scored with quad_objective on G,
+    once per vector up to sign; the lowest must be strictly below
+    best_f.  An exact tie goes to the copy whose vertex comes first
+    lexicographically on the 1e-9 grid, then to its first cell in
+    candidate order: by pattern number at a generic vertex, in
+    _vertex_cells' order at a degenerate one.  Returns (a, its vertex,
+    candidates scored, vertices) as _rank_one_search does.
     """
     verts = _vertex_labels(dec, cmax)
     # C(#vertices, k+1) no longer measures the work (the candidate
@@ -262,16 +264,19 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
         i = near[split:] - first_degenerate
         cand = np.concatenate([cand, degenerate[i]])
         xs = np.concatenate([xs, verts.at(verts.x, verts.merged[owner[i]])])
-    f_g = np.einsum("ij,jk,ik->i", cand, g_arr, cand)
-    # an exact tie on G goes to the candidate whose vertex comes first on
-    # the 1e-9 grid, as when every vertex was sorted, then to the earlier
-    # cell (the sort is stable)
-    f_min = f_g.min()
+    # each vector is scored once on G, in canonical sign (first nonzero
+    # entry positive), since a and -a are one vector
+    cand = cand.astype(np.int64)
+    keys = [tuple(a) if next(filter(None, a)) > 0 else tuple(-v for v in a) for a in cand.tolist()]
+    f_g = {a: quad_objective(g_arr, a) for a in dict.fromkeys(keys)}
+    f_min = min(f_g.values())
     if not f_min < best_f:
         return None, None, scored, verts.count
-    tied = np.flatnonzero(f_g == f_min)
+    # an exact tie goes to the copy whose vertex comes first on the 1e-9
+    # grid, then to the earlier cell (the sort is stable)
+    tied = np.flatnonzero([f_g[a] == f_min for a in keys])
     j = int(tied[_grid_order(xs[tied])[0]])
-    return cand[j].astype(np.int64), xs[j], scored, verts.count
+    return cand[j], xs[j], scored, verts.count
 
 
 def solve_dpk(g, dec: DpkDecomposition | None, *,
@@ -288,15 +293,16 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     breakpoint_count counts its crossings; for k >= 2 the candidates are
     the rounded cells at each arrangement vertex (see _vertex_search),
     and breakpoint_count counts the distinct vertices.  Either search
-    keeps the best unit vector unless a candidate is strictly lower on
-    G.  The witness is a point x of a_star's closed cell, |diag(d)^-1 V
-    x - a_star| <= 1/2 entrywise: the interval midpoint for k = 1, the
-    vertex that produced a_star for k >= 2.  Raises
-    ResourceBudgetError if the vertex bound C(n, k) (2 cmax + 2)^k
-    exceeds budget, checked once before either search by _norm_ceiling,
-    and for k >= 2 if the number of vertex subsets C(#vertices, k+1) or
-    of candidates does, both counted before any candidate is built; and
-    ValueError if budget is below 1 or lambda_min(G) <= 1e-12.
+    picks by SolverResult's rule on quad_objective: the best unit vector
+    stays unless a candidate is strictly lower.  The witness is a point x
+    of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2 entrywise:
+    the interval midpoint for k = 1, the vertex that produced a_star for
+    k >= 2.  Raises ResourceBudgetError if the vertex bound C(n, k) (2
+    cmax + 2)^k exceeds budget, checked once before either search by
+    _norm_ceiling, and for k >= 2 if the number of vertex subsets
+    C(#vertices, k+1) or of candidates does, both counted before any
+    candidate is built; and ValueError if budget is below 1 or
+    lambda_min(G) <= 1e-12.
     """
     t0 = time.perf_counter()
     _check_budget(budget)

@@ -13,9 +13,12 @@ three or more hyperplanes through one vertex, and a repeated or negated
 row of H makes two hyperplanes coincide.  single-integer pins
 solve_single's exact ties: integer (odd seeds) and half-integer (even
 seeds) channels at rational powers, where two roundings often share one
-objective value.  Floats are stored as float.hex so
-the file is exact.  tests/test_golden.py re-solves the stored instances
-and checks that a_star is unchanged and f_star is within 1e-12 relative.
+objective value.  mimo-k2-integer pins the rank-k winner rule on
+integer channels (entries -2..2, P in 0.25..5), where two candidates
+often tie on G or differ in its last bits.  Floats are stored as
+float.hex so the file is exact.  tests/test_golden.py re-solves the
+stored instances and checks that a_star is unchanged and f_star is
+within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ FAMILIES = (
     ("mimo-k2-parallel", 6000, 30),
     ("mimo-k3", 7000, 40),
     ("single-integer", 8000, 60),
+    ("mimo-k2-integer", 9000, 40),
 )
 
 # rational powers at which integer channels tie exactly
@@ -76,6 +80,10 @@ def draw(kind: str, seed: int):
         n = int(rng.integers(2, 6))
         h = full_rank(rng, lambda: rng.integers(-3, 4, (n, 2)) / 2.0)
         return h, log_uniform(rng, 1.0, 8.0)
+    if kind == "mimo-k2-integer":
+        n = int(rng.integers(3, 7))
+        h = full_rank(rng, lambda: rng.integers(-2, 3, (n, 2)).astype(float))
+        return h, float(rng.choice(INTEGER_POWERS[:-1]))
     if kind == "mimo-k2-parallel":
         n = int(rng.integers(3, 6))
         h = full_rank(rng, lambda: gaussian_or_halfint(rng, seed, n, 2), parallel=True)

@@ -100,6 +100,13 @@ def test_rate_rejects_fractional_coefficients(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("a", ["1e300,1", "1e19,0", "nan,1", "inf,1"])
+def test_rate_rejects_coefficients_outside_int64(capsys, a):
+    code, out, err = run_cli(["rate", "--h", "1,1", "--power", "1", "--a", a], capsys)
+    assert code == 2 and not out
+    assert "coefficients must be integers" in err
+
+
 def test_mimo_document(tmp_path, capsys):
     path = tmp_path / "H.txt"
     path.write_text("2 1\n1\n1\n")

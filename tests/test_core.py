@@ -117,6 +117,7 @@ def test_coefficient_vector_accepts_integral_floats():
     (np.array([-128, 0, 127], dtype=np.int8), [-128, 0, 127]),
     (np.array([2, -5, 0], dtype=object), [2, -5, 0]),
     (np.array([4.0, -0.0, -3.0]), [4, 0, -3]),
+    (np.array([-2.0**63, 1.0]), [-2**63, 1]),
 ])
 def test_coefficient_vector_accepts_integer_valued_input(raw, expected):
     a = CoefficientVector(raw)
@@ -128,6 +129,14 @@ def test_coefficient_vector_accepts_integer_valued_input(raw, expected):
 def test_coefficient_vector_rejects_fractional_or_matrix_input(raw):
     with pytest.raises(ValueError):
         CoefficientVector(raw)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, 2.0**63, -2.0**63 - 2048])
+def test_coefficient_vector_rejects_values_outside_int64_before_the_cast(value):
+    # the cast alone would warn and wrap (filterwarnings turns a warning
+    # into a failure here)
+    with pytest.raises(ValueError, match="integers in"):
+        CoefficientVector([value, 1.0])
 
 
 def test_canonical_sign_of_negative_leading_vector_is_read_only_int64():

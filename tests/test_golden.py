@@ -34,6 +34,9 @@ ORACLE_TIES = {
     ("single-integer", 8058): [0, 1],
     ("mimo-k2-halfint", 5022): [0, 0, 1],
     ("mimo-k2-parallel", 6013): [0, 1, 0],
+    # not a tie on G: the solver's (1, -1, -1, 1) is 2 ulps below e_2 by
+    # quad_objective, but the oracle ranks by its own running sums
+    ("mimo-k2-integer", 9000): [0, 1, 0, 0],
 }
 
 
@@ -71,7 +74,7 @@ def _oracle(h, power, f_star):
 
 
 def test_golden_a_star():
-    assert len(GOLDEN) == 330
+    assert len(GOLDEN) == 370
     assert not _mismatches(_solver, {})
 
 

@@ -377,22 +377,49 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
 THIRD = 1.0 / 3.0
 
 
-@pytest.mark.parametrize("h, power, a_star, f_hex", [
+@pytest.mark.parametrize("h, power, a_star, f_hex, rival", [
     (((-2 * THIRD, 2 * THIRD), (0.0, 1.0), (-2 * THIRD, -2 * THIRD)), "0x1.cb83449737327p+1",
-     [0, 1, -1], "0x1.59d0c9cc759fcp-2"),
+     [0, 1, -1], "0x1.59d0c9cc759fcp-2", [1, 1, 0]),
     (((-1.0, -1.0), (1.0, -1.0), (-2.0, 2.0), (2.0, 2.0)), "0x1.0f74e8f670bf4p+2",
-     [1, 0, 0, -2], "0x1.d7b9a738e9678p-4"),
-    (((-1.0, 0.0), (-1.0, 0.0), (-2.0, -2.0), (0.0, -2.0), (0.0, 1.0), (2.0, -1.0), (2.0, 2.0),
-      (2.0, 2.0)), "0x1.bc6fa042211e4p+1", [1, 1, 2, 0, 0, -2, -2, -2], "0x1.204ac8e6bc324p-2"),
-], ids=["thirds", "integer-n4", "integer-n8"])
-def test_exact_ties_go_to_the_first_vertex_on_the_grid(h, power, a_star, f_hex):
-    # two vectors (not negations of each other) tie exactly on G; the one
-    # at the vertex that comes first on the 1e-9 grid wins, as it did
-    # when every vertex was sorted
+     [1, 0, 0, -2], "0x1.d7b9a738e9678p-4", [0, 1, -2, 0]),
+], ids=["thirds", "integer-n4"])
+def test_exact_ties_go_to_the_first_vertex_on_the_grid(h, power, a_star, f_hex, rival):
+    # a_star and rival (not negations of each other) tie exactly on
+    # quad_objective, the value f_star reports; the one at the vertex
+    # that comes first on the 1e-9 grid wins, as it did when every
+    # vertex was sorted
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=float.fromhex(power)))
     res = solve_dpk(gram, dec, budget=None)
     assert res.a_star.entries.tolist() == a_star
+    assert res.f_star == float.fromhex(f_hex) == quadratic_form(gram, rival)
+
+
+@pytest.mark.parametrize("h, power, a_star, f_hex, rival", [
+    # rival ties e_2 exactly on G, so e_2 keeps the tie; an einsum
+    # ranked rival lower
+    (((1.0, -2.0), (1.0, 2.0), (-1.0, 2.0), (0.0, 1.0), (-1.0, 0.0), (-2.0, 1.0)), 1.0,
+     [0, 1, 0, 0, 0, 0], "0x1.bf7651bf7651ap-2", [1, 0, -1, 0, 0, -1]),
+    # an einsum ties the two at 0x1.e00c78031e018p-3; G puts a_star one
+    # ulp below rival
+    (((-1.0, 2.0), (2.0, -2.0), (0.0, -1.0), (1.0, 0.0), (2.0, -1.0)), 4.0,
+     [2, -2, -1, 0, -1], "0x1.e00c78031e020p-3", [1, -2, 0, -1, -2]),
+    # an einsum ties the two; on G rival scores 0x1.204ac8e6bc333p-2
+    (((-1.0, 0.0), (-1.0, 0.0), (-2.0, -2.0), (0.0, -2.0), (0.0, 1.0), (2.0, -1.0), (2.0, 2.0),
+      (2.0, 2.0)), float.fromhex("0x1.bc6fa042211e4p+1"),
+     [1, 1, 2, 0, 0, -2, -2, -2], "0x1.204ac8e6bc324p-2", [0, 0, 2, 2, -1, 1, -2, -2]),
+], ids=["einsum-ties-unit-vector", "einsum-tie-one-ulp", "integer-n8"])
+def test_the_rank_k_winner_is_the_lowest_on_g(h, power, a_star, f_hex, rival):
+    # the winner is chosen by quad_objective on G, the function f_star
+    # comes from, and must beat the best unit vector strictly
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=power))
+    res = solve_dpk(gram, dec, budget=None)
+    assert res.a_star.entries.tolist() == a_star
     assert res.f_star == float.fromhex(f_hex)
+    if sum(map(abs, a_star)) == 1:
+        assert res.witness_point is None
+        assert res.f_star == np.min(np.diag(gram.entries)) == quadratic_form(gram, rival)
+    else:
+        assert res.f_star < quadratic_form(gram, rival)
 
 
 def crowded_dec():
