@@ -62,7 +62,11 @@ class CoefficientVector:
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.entries)
-        if raw.dtype.kind not in "iu":
+        if raw.dtype.kind == "u":
+            # the cast below would wrap 2**63 and above to negative values
+            if (raw > np.iinfo(np.int64).max).any():
+                raise ValueError("coefficients must be integers in [-2**63, 2**63)")
+        elif raw.dtype.kind != "i":
             values = np.asarray(raw, dtype=float)
             # nan, inf and values outside [-2**63, 2**63) fail before the cast
             if not ((values >= -2.0**63) & (values < 2.0**63) & (values == np.round(values))).all():
@@ -190,7 +194,10 @@ class SolverResult:
     closed cell (None when a unit vector won): for solve_single an
     interval midpoint with round(x h) = a_star; for solve_dpk
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
-    for k = 1 and the vertex of that tie rule for k >= 2.
+    for k = 1 and the vertex of that tie rule for k >= 2.  When psi^2 =
+    min_j G_jj / lambda_min is below 2 (1 - 1e-9), only unit vectors can
+    win: solve_single and rank-one solve_dpk then search nothing and
+    report candidates_evaluated = n and breakpoint_count = 0.
     """
 
     a_star: CoefficientVector

@@ -3,9 +3,11 @@
 Independent of the fast solvers: finds the exact minimum of a^T G a
 over canonical-sign integer vectors with |a| <= radius.  A unit vector
 lies in the ball, so only points with f(a) <= min_j G_jj can win; a
-depth-first Fincke-Pohst search visits just those points of the ball.
-Used to certify solver outputs and as the ground truth in benchmark
-campaigns.
+depth-first Fincke-Pohst search visits just those points of the ball,
+and picks among the nearly lowest by quad_objective, the value f_star
+reports.  A ball with radius^2 < 2 holds only the unit vectors, so no
+search runs there.  Used to certify solver outputs and as the ground
+truth in benchmark campaigns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 
 import numpy as np
 
-from .core import SolverResult, as_gram_matrix, _check_budget, _solver_result
+from .core import SolverResult, as_gram_matrix, quad_objective, _check_budget, _solver_result
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue
 
@@ -52,10 +54,12 @@ def certification_radius(g, f_value: float) -> float:
 
 
 def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | None, int]:
-    """First minimiser over ball and ellipsoid, and the number of points scored.
+    """Minimiser over ball and ellipsoid, and the number of points scored.
 
     Coordinates are fixed 0..n-1, values ascending, and each point is
-    scored as partial + v (2 (G a)_d + G_dd v) from its prefix.
+    scored as partial + v (2 (G a)_d + G_dd v) from its prefix.  The
+    points within 1e-9 of the lowest such score are ranked again with
+    quad_objective; the first in enumeration order wins an exact tie.
     """
     n = g_arr.shape[0]
     g = g_arr.tolist()
@@ -78,7 +82,9 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
     lower = [0.0] * n  # rows i < d of |R a|^2
     sq = [0] * n  # |prefix|^2
     nonzero: list[int] = []  # depths of the nonzero prefix entries
-    best_f, best_a, evaluated = math.inf, None, 0
+    # the leaves within 1e-9 of the running minimum, in enumeration order
+    near: list[tuple[float, list[int]]] = []
+    best_f, evaluated = math.inf, 0
     d = 0
     while True:
         s = c = 0.0
@@ -100,13 +106,14 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
                 if v or nonzero:
                     evaluated += 1
                     f = partial[d] + v * (2.0 * s + g[d][d] * v)
-                    if f < best_f:
-                        best_f, best_a = f, a[:d] + [v]
+                    if f <= best_f + _SLACK * abs(best_f):
+                        near.append((f, a[:d] + [v]))
+                        best_f = min(best_f, f)
             d -= 1
         while d >= 0 and a[d] >= top[d]:
             d -= 1
         if d < 0:
-            return best_a, evaluated
+            break
         while nonzero and nonzero[-1] >= d:
             nonzero.pop()
         v = a[d] = a[d] + 1
@@ -117,6 +124,32 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
         if v:
             nonzero.append(d)
         d += 1
+    # the running sums differ from quad_objective in the last bits, so
+    # leaves near their minimum are ranked again by the value f_star
+    # reports; the first in enumeration order wins an exact tie
+    cut = best_f + _SLACK * abs(best_f)
+    points = [point for f, point in near if f <= cut]
+    if len(points) < 2:
+        return (points[0] if points else None), evaluated
+    f_g = [quad_objective(g_arr, point) for point in points]
+    return points[f_g.index(min(f_g))], evaluated
+
+
+def _unit_vector_search(g_arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """_ellipsoid_search's result for a ball with radius^2 < 2 - 1e-8.
+
+    Every other nonzero integer vector has |a|^2 >= 2, and the search
+    admits a second unit step only from radius^2 >= 2 - 2e-9, so only
+    the unit vectors e_j are in the ball; each scores G_jj exactly.  The
+    smallest G_jj wins, and an exact tie goes to the largest j, which the
+    search enumerates first.  The count is the unit vectors in the
+    ellipsoid f(a) <= min_j G_jj (1 + 1e-9).
+    """
+    diag = g_arr.diagonal()
+    j = diag.size - 1 - int(diag[::-1].argmin())
+    a = np.zeros(diag.size, dtype=np.int64)
+    a[j] = 1
+    return a, int(np.count_nonzero(diag <= diag[j] * (1.0 + _SLACK)))
 
 
 def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUDGET) -> SolverResult:
@@ -126,8 +159,13 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     are enumerated, which halves the work without losing any objective
     value, and only those in the ellipsoid f(a) <= min_j G_jj, which
     holds every minimiser; candidates_evaluated counts the points of
-    ball and ellipsoid that were scored.  Ties keep the first vector in
-    lexicographic order, so the result is deterministic.  Raises
+    ball and ellipsoid that were scored.  The winner is the lowest by
+    quad_objective, the value f_star reports, and ties keep the first
+    vector in lexicographic order, so the result is deterministic.
+    When radius^2 < 2 - 1e-8 the ball holds only unit vectors:
+    _unit_vector_search returns the same vector, and counts the unit
+    vectors in the ellipsoid, without a Cholesky factor or a search.
+    Raises
     ResourceBudgetError when the ball's estimated point count, an
     upper bound on that work, exceeds budget, and ValueError if budget
     is below 1.
@@ -144,7 +182,11 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
         raise ResourceBudgetError(
             f"estimated {estimate:.3e} candidates exceeds budget {budget}"
         )
-    best_a, evaluated = _ellipsoid_search(g.entries, radius)
+    g_arr = g.entries
+    if radius * radius < 2.0 - 1e-8:
+        best_a, evaluated = _unit_vector_search(g_arr)
+    else:
+        best_a, evaluated = _ellipsoid_search(g_arr, radius)
     if best_a is None:
         raise AssertionError("radius >= 1 guarantees at least one candidate")
-    return _solver_result(g.entries, np.array(best_a), None, t0, evaluated, 0)
+    return _solver_result(g_arr, np.array(best_a), None, t0, evaluated, 0)

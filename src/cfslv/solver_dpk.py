@@ -17,7 +17,7 @@ are merged, and their rows round down or up, one choice per direction.
 Every candidate is scored in O(nk) from the low-rank form, and the few
 near the minimum again on G with quad_objective.  For k = 1 the
 vertices are the crossings of one line, and the solver runs
-solve_single's search instead.
+solve_single's search instead, or none when psi < sqrt(2).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .core import (
 )
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue, validate_dpk
-from .solver_single import _TIE_RTOL, _Found, _norm_ceiling, _rank_one_search
+from .solver_single import _TIE_RTOL, _Found, _norm_ceiling, _rank_one_search, _unit_vector_wins
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
@@ -210,15 +210,19 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     A generic vertex yields its 2^k cells straight from its label (see
     _label_grid), and every row outside the label rounds to nearest;
     degenerate vertices go through _vertex_cells.  Every candidate a is
-    scored as sum d a^2 - |V^T a|^2, in O(nk).  Those values differ from
-    G's in the last bits, so the candidates within 1e-9 sum d a^2 (taken
-    at the minimum) of the minimum are scored with quad_objective on G,
+    scored as sum d a^2 - |V^T a|^2, in O(nk), except cells with |a|_1 <=
+    1: zero is no candidate, and a unit vector is never strictly below
+    best_f.  Those values differ from G's in the last bits, so nothing
+    is rescored when the lowest lies more than 1e-9 sum d a^2 (taken at
+    the minimum) above best_f; otherwise the candidates within that
+    margin of the minimum are scored with quad_objective on G,
     once per vector up to sign; the lowest must be strictly below
     best_f.  An exact tie goes to the copy whose vertex comes first
     lexicographically on the 1e-9 grid, then to its first cell in
     candidate order: by pattern number at a generic vertex, in
     _vertex_cells' order at a degenerate one.  Returns (a, its vertex,
-    candidates scored, vertices) as _rank_one_search does.
+    candidates scored, vertices) as _rank_one_search does; the counts
+    include the zero and unit cells.
     """
     verts = _vertex_labels(dec, cmax)
     # C(#vertices, k+1) no longer measures the work (the candidate
@@ -241,18 +245,23 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     proj = ((v[verts.rows].transpose(0, 2, 1) @ verts.w.T).reshape(labels, k, count, 1 << k)
             + (v.T @ base)[:, :, :, None])
     f = norm2 - np.sum(proj ** 2, axis=1)
-    f[~verts.generic] = np.inf
+    # a cell next to the origin rounds to zero, which is no candidate,
+    # and a unit vector is never strictly below best_f: |a|_1 <= 1 drops both
+    l1 = (np.abs(base).sum(axis=1)[:, :, None]
+          + np.abs(verts.w).sum(axis=1).reshape(count, 1 << k))
+    f[(l1 <= 1.0) | ~verts.generic[:, :, None]] = np.inf
     f, norm2 = f.ravel(), norm2.ravel()
     first_degenerate = f.size
     if degenerate.size:
         deg_norm2 = degenerate ** 2 @ d
-        f = np.concatenate([f, deg_norm2 - np.sum((degenerate @ v) ** 2, axis=1)])
+        deg_f = deg_norm2 - np.sum((degenerate @ v) ** 2, axis=1)
+        deg_f[np.abs(degenerate).sum(axis=1) <= 1.0] = np.inf
+        f = np.concatenate([f, deg_f])
         norm2 = np.concatenate([norm2, deg_norm2])
-    # a cell next to the origin rounds to zero, which is no candidate
-    f[norm2 == 0.0] = np.inf
     scored = (int(np.count_nonzero(verts.generic)) << k) + degenerate.shape[0]
     m = int(np.argmin(f)) if f.size else 0
-    if not f.size or f[m] == np.inf:
+    # G's values differ from these by rounding, far below the margin
+    if not f.size or f[m] > best_f + _TIE_RTOL * norm2[m]:
         return None, None, scored, verts.count
     near = np.flatnonzero(f <= f[m] + _TIE_RTOL * norm2[m])
     split = int(np.searchsorted(near, first_degenerate))
@@ -290,7 +299,10 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     decomposition is accepted only for diagonal g, where the best
     unit vector is already optimal.  For k = 1 solve_single's search,
     _rank_one_search, sweeps x v / d (ties to the smallest x), and
-    breakpoint_count counts its crossings; for k >= 2 the candidates are
+    breakpoint_count counts its crossings, unless psi^2 < 2 (1 - 1e-9)
+    (_unit_vector_wins), where the best unit vector is optimal and
+    nothing is swept (candidates_evaluated = n, breakpoint_count = 0);
+    for k >= 2 the candidates are
     the rounded cells at each arrangement vertex (see _vertex_search),
     and breakpoint_count counts the distinct vertices.  Either search
     picks by SolverResult's rule on quad_objective: the best unit vector
@@ -322,13 +334,15 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         built = isinstance(dec, DpkDecomposition) and dec._gram is g
         if not built and not validate_dpk(g, dec):
             raise ValueError("decomposition does not reproduce the Gram matrix")
-        cmax = _norm_ceiling(best_f, _radius_eigenvalue(g), dec.n, dec.k, budget)
-        if dec.k == 1:
+        lam_min = _radius_eigenvalue(g)
+        cmax = _norm_ceiling(best_f, lam_min, dec.n, dec.k, budget)
+        a, scored = None, 0
+        if dec.k >= 2:
+            a, best_x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
+        elif not _unit_vector_wins(best_f, lam_min):
             v = dec.v[:, 0]
             a, best_x, scored, vertex_count = _rank_one_search(
                 g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
-        else:
-            a, best_x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
         candidates += scored
         if a is not None:
             best_a = a

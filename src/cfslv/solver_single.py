@@ -8,7 +8,8 @@ that adds 2c + 1 to |a|^2 and |h_j| to |h.a|.  Sorting the crossings
 once and taking prefix sums therefore scores every rounding pattern
 within the norm bound psi = sqrt(min_j G_jj / lambda_min) in O(1)
 each; the few near the minimum are scored again on G to pick the
-winner.
+winner.  Below psi = sqrt(2) only unit vectors fit, and nothing is
+swept.
 """
 
 from __future__ import annotations
@@ -41,12 +42,22 @@ def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int, budget: int | N
     lam_min: a vector below best_f has |a| < psi, so its cell's vertices
     have |c| <= floor(psi) + 1/2 <= cmax + 1/2, and rounding that lifts
     psi just above an integer adds no ring.  Raises ResourceBudgetError
-    if the vertex bound C(n, k) (2 cmax + 2)^k exceeds budget."""
+    if the vertex bound C(n, k) (2 cmax + 2)^k exceeds budget, also when
+    _unit_vector_wins then skips the search, so refusals do not depend
+    on it."""
     cmax = max(1, math.ceil(math.sqrt(best_f / lam_min) * (1.0 - 1e-9)))
     bound = math.comb(n, k) * (2 * cmax + 2) ** k
     if budget is not None and bound > budget:
         raise ResourceBudgetError(f"vertex bound {bound} exceeds budget {budget}")
     return cmax
+
+
+def _unit_vector_wins(best_f: float, lam_min: float) -> bool:
+    """Whether psi^2 = best_f / lam_min is below 2 (1 - 1e-9).  Every
+    nonzero integer vector other than +-e_j has |a|^2 >= 2, so f(a) >=
+    2 lam_min > best_f: the best unit vector is optimal and there is
+    nothing to search.  The margin absorbs lam_min's rounding."""
+    return best_f < 2.0 * lam_min * (1.0 - 1e-9)
 
 
 def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndarray,
@@ -107,7 +118,9 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     G is build_gram_single's.  Initializes with the best signed unit
     vector, then runs _rank_one_search on x*h over c = 0..cmax, cmax
     from _norm_ceiling: the winner must be strictly lower on G, and an
-    exact tie goes to the smallest x.  Raises ResourceBudgetError if the
+    exact tie goes to the smallest x.  When psi^2 < 2 (1 - 1e-9)
+    (_unit_vector_wins) the unit vector is optimal and the sweep is
+    skipped: candidates_evaluated = n, breakpoint_count = 0.  Raises ResourceBudgetError if the
     vertex bound n (2 cmax + 2) exceeds budget, and ValueError if budget
     is below 1, if 1 + P|h|^2 overflows a float, or if the rounded G is
     not positive definite or numerically singular.
@@ -132,7 +145,10 @@ def _solve_single(h, power: float, *,
     g_arr = gram.entries
 
     best_f, best_a = _best_unit_vector(g_arr)
-    cmax = _norm_ceiling(best_f, _radius_eigenvalue(gram), n, 1, budget)
+    lam_min = _radius_eigenvalue(gram)
+    cmax = _norm_ceiling(best_f, lam_min, n, 1, budget)
+    if _unit_vector_wins(best_f, lam_min):
+        return _solver_result(g_arr, best_a, None, t0, n, 0), gram
     a, x, scored, crossings = _rank_one_search(
         g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)
     res = _solver_result(g_arr, best_a if a is None else a, x, t0, n + scored, crossings)

@@ -139,6 +139,18 @@ def test_coefficient_vector_rejects_values_outside_int64_before_the_cast(value):
         CoefficientVector([value, 1.0])
 
 
+@pytest.mark.parametrize("raw", [[2**64 - 1, 1], [2**63, 0]])
+def test_coefficient_vector_rejects_unsigned_values_outside_int64(raw):
+    # the cast alone would wrap these silently to (-1, 1) and (-2**63, 0)
+    with pytest.raises(ValueError, match=r"^coefficients must be integers in \[-2\*\*63, 2\*\*63\)$"):
+        CoefficientVector(np.array(raw, dtype=np.uint64))
+
+
+def test_coefficient_vector_accepts_the_largest_unsigned_int64_value():
+    a = CoefficientVector(np.array([2**63 - 1, 0], dtype=np.uint64))
+    assert a.entries.dtype == np.int64 and a.entries.tolist() == [2**63 - 1, 0]
+
+
 def test_canonical_sign_of_negative_leading_vector_is_read_only_int64():
     a = canonical_sign(np.array([0, -2, 1], dtype=np.int8))
     assert a.entries.dtype == np.int64 and a.entries.tolist() == [0, 2, -1]

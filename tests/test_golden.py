@@ -34,9 +34,6 @@ ORACLE_TIES = {
     ("single-integer", 8058): [0, 1],
     ("mimo-k2-halfint", 5022): [0, 0, 1],
     ("mimo-k2-parallel", 6013): [0, 1, 0],
-    # not a tie on G: the solver's (1, -1, -1, 1) is 2 ulps below e_2 by
-    # quad_objective, but the oracle ranks by its own running sums
-    ("mimo-k2-integer", 9000): [0, 1, 0, 0],
 }
 
 

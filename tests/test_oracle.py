@@ -6,7 +6,7 @@ import pytest
 from cfslv.core import GramMatrix
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
-from cfslv.oracle import ball_point_estimate, brute_force_slv, certification_radius
+from cfslv.oracle import _ellipsoid_search, ball_point_estimate, brute_force_slv, certification_radius
 
 
 def test_identity_gram():
@@ -81,6 +81,43 @@ def test_ball_binds_inside_the_ellipsoid():
     assert res.candidates_evaluated == 2
 
 
+def test_ball_binds_past_the_unit_vectors():
+    # (1,1,1) has f = 1.8 < 3 but |a|^2 = 3 lies outside the ball of
+    # radius 1.6, which holds the pairs (f >= 3.6) as well as the unit vectors
+    g = GramMatrix(np.array([[3.0, -1.2, -1.2], [-1.2, 3.0, -1.2], [-1.2, -1.2, 3.0]]))
+    res = brute_force_slv(g, 1.6)
+    assert res.a_star.entries.tolist() == [0, 0, 1]
+    assert res.f_star == 3.0
+    assert res.candidates_evaluated == 3
+    assert brute_force_slv(g, 1.8).a_star.entries.tolist() == [1, 1, 1]
+
+
+def test_unit_ball_matches_naive_enumeration(box_minimum, gram_factory):
+    # below radius^2 = 2 the ball holds only the unit vectors
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        g = GramMatrix(gram_factory(rng, int(rng.integers(1, 5))))
+        radius = float(rng.uniform(1.0, np.sqrt(2.0 - 1e-8)))
+        res = brute_force_slv(g, radius)
+        naive_f, naive_a = box_minimum(g.entries, 1, radius=radius)
+        assert res.f_star == naive_f
+        assert np.abs(res.a_star.entries).tolist() == np.abs(naive_a).tolist()
+        assert res.candidates_evaluated == _ellipsoid_search(g.entries, radius)[1]
+
+
+@pytest.mark.parametrize("g", [np.eye(4), np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 3.0]])],
+                         ids=["identity", "tied-diagonal"])
+def test_unit_ball_tie_goes_to_the_last_unit_vector(g):
+    # the search enumerates e_n first, ..., e_1 last, and keeps the first
+    # on a tie; the ball below radius^2 = 2 gives the same vector and count
+    ball = brute_force_slv(GramMatrix(g), np.sqrt(2.0 - 2e-8))
+    searched, count = _ellipsoid_search(g, np.sqrt(2.0 - 2e-8))
+    j = 1 if g.shape[0] == 3 else 3
+    assert ball.a_star.entries.tolist() == searched == np.eye(g.shape[0], dtype=int)[j].tolist()
+    assert ball.f_star == g[j, j]
+    assert ball.candidates_evaluated == count
+
+
 def test_tiny_diagonal_entry():
     res = brute_force_slv(GramMatrix(np.diag([1.0, 1e-13])), 3.0)
     assert res.a_star.entries.tolist() == [0, 1]
@@ -102,6 +139,14 @@ def test_ball_only_when_cholesky_fails():
 def test_deep_search_needs_no_recursion():
     n = 1500
     res = brute_force_slv(GramMatrix(np.eye(n)), 1.0)
+    assert res.a_star.entries.tolist() == [0] * (n - 1) + [1]
+    assert res.candidates_evaluated == n
+
+
+def test_deep_search_past_the_unit_vectors():
+    # radius^2 = 2.25 takes the search itself 1500 levels deep
+    n = 1500
+    res = brute_force_slv(GramMatrix(np.eye(n)), 1.5)
     assert res.a_star.entries.tolist() == [0] * (n - 1) + [1]
     assert res.candidates_evaluated == n
 

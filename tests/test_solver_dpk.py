@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cfslv.solver_dpk
-from cfslv.core import DpkDecomposition, GramMatrix, quadratic_form
+from cfslv.core import DpkDecomposition, GramMatrix, canonical_sign, quadratic_form
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import (
     MimoChannel,
@@ -20,7 +20,7 @@ from cfslv.gram import (
 )
 from cfslv.oracle import brute_force_slv, certification_radius
 from cfslv.solver_dpk import _vertex_cells, _vertex_labels, solve_dpk
-from cfslv.solver_single import _norm_ceiling, solve_single
+from cfslv.solver_single import _norm_ceiling, _rank_one_search, solve_single
 
 
 def rank_one_dec():
@@ -570,6 +570,10 @@ def test_rank_one_sweep_counts():
         dec = dpk_from_single(h, power)
         res = solve_dpk(gram, dec)
         psi = max(1.0, search_radius_psi(gram))
+        if search_radius_psi(gram) ** 2 < 2.0:
+            # only unit vectors have |a| < sqrt(2): nothing is swept
+            assert (res.breakpoint_count, res.candidates_evaluated) == (0, n)
+            continue
         # breakpoint_count counts the x > 0 crossings, c = 0..cmax, on
         # each nonzero coordinate
         assert res.breakpoint_count == np.count_nonzero(h) * (cmax_of(gram, dec) + 1)
@@ -578,6 +582,32 @@ def test_rank_one_sweep_counts():
         assert n < res.candidates_evaluated <= n + res.breakpoint_count
         # criterion 5's bound
         assert res.breakpoint_count <= math.comb(n, 1) * (2 * math.ceil(psi) + 2)
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 + 1e-6])
+@pytest.mark.parametrize("h", [(1.0, 0.6, -0.3), (0.5, -0.5, 0.5, 0.25), (1.0, 1.0)])
+def test_unit_vector_bound_matches_the_sweep(h, scale):
+    # psi^2 = min G_jj / lambda_min = 1 + P (|h|^2 - max h_j^2) here, so
+    # this P puts psi^2 at 2 scale: below 2 (1 - 1e-9) the solvers keep
+    # the best unit vector unswept, at or above it they sweep
+    h = np.array(h)
+    power = scale / (h @ h - np.max(h * h))
+    gram, dec = build_gram_single(h, power), dpk_from_single(h, power)
+    best_f = float(np.min(np.diag(gram.entries)))
+    skipped = best_f < 2.0 * gram.min_eigenvalue * (1.0 - 1e-9)
+    assert skipped == (scale == 1.0 - 1e-6)
+    v = dec.v[:, 0]
+    a, x, _, _ = _rank_one_search(gram.entries, np.abs(v) / dec.d, dec.d, v,
+                                  cmax_of(gram, dec), best_f)
+    if a is None:
+        a = np.eye(h.size, dtype=np.int64)[int(np.argmin(np.diag(gram.entries)))]
+    expected = quadratic_form(gram, a)
+    for res in solve_single(h, power), solve_dpk(gram, dec):
+        assert res.a_star.entries.tolist() == canonical_sign(a).entries.tolist()
+        assert res.f_star == expected
+        assert (res.breakpoint_count == 0) == skipped
+        assert (res.candidates_evaluated == h.size) == skipped
+        assert (res.witness_point is None) == (x is None)
 
 
 def rank_one_draws(rng, count):
