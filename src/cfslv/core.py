@@ -196,8 +196,9 @@ class SolverResult:
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
     for k = 1 and the vertex of that tie rule for k >= 2.  When psi^2 =
     min_j G_jj / lambda_min is below 2 (1 - 1e-9), only unit vectors can
-    win: solve_single and rank-one solve_dpk then search nothing and
-    report candidates_evaluated = n and breakpoint_count = 0.
+    win: solve_single and solve_dpk then search nothing and report
+    candidates_evaluated = n and breakpoint_count = 0 (for k >= 2 only
+    when no vertex budget check could refuse the search; see solve_dpk).
     """
 
     a_star: CoefficientVector

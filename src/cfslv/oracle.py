@@ -59,7 +59,8 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
     Coordinates are fixed 0..n-1, values ascending, and each point is
     scored as partial + v (2 (G a)_d + G_dd v) from its prefix.  The
     points within 1e-9 of the lowest such score are ranked again with
-    quad_objective; the first in enumeration order wins an exact tie.
+    quad_objective, except the unit vectors, whose score is already G_jj
+    bit for bit; the first in enumeration order wins an exact tie.
     """
     n = g_arr.shape[0]
     g = g_arr.tolist()
@@ -126,13 +127,16 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
         d += 1
     # the running sums differ from quad_objective in the last bits, so
     # leaves near their minimum are ranked again by the value f_star
-    # reports; the first in enumeration order wins an exact tie
+    # reports, which a unit vector's sum G_jj already is; the first in
+    # enumeration order wins an exact tie
     cut = best_f + _SLACK * abs(best_f)
-    points = [point for f, point in near if f <= cut]
-    if len(points) < 2:
-        return (points[0] if points else None), evaluated
-    f_g = [quad_objective(g_arr, point) for point in points]
-    return points[f_g.index(min(f_g))], evaluated
+    leaves = [(f, point) for f, point in near if f <= cut]
+    if len(leaves) < 2:
+        return (leaves[0][1] if leaves else None), evaluated
+    # canonical sign makes a point with n - 1 zeros and a 1 a unit vector
+    f_g = [f if point.count(0) == n - 1 and 1 in point else quad_objective(g_arr, point)
+           for f, point in leaves]
+    return leaves[f_g.index(min(f_g))][1], evaluated
 
 
 def _unit_vector_search(g_arr: np.ndarray) -> tuple[np.ndarray, int]:

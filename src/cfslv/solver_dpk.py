@@ -17,7 +17,8 @@ are merged, and their rows round down or up, one choice per direction.
 Every candidate is scored in O(nk) from the low-rank form, and the few
 near the minimum again on G with quad_objective.  For k = 1 the
 vertices are the crossings of one line, and the solver runs
-solve_single's search instead, or none when psi < sqrt(2).
+solve_single's search instead.  When psi < sqrt(2) only unit vectors
+fit, and no search runs at any k.
 """
 
 from __future__ import annotations
@@ -43,7 +44,14 @@ from .core import (
 )
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue, validate_dpk
-from .solver_single import _TIE_RTOL, _Found, _norm_ceiling, _rank_one_search, _unit_vector_wins
+from .solver_single import (
+    _TIE_RTOL,
+    _Found,
+    _norm_ceiling,
+    _rank_one_search,
+    _unit_vector_wins,
+    _vertex_checks_pass,
+)
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
@@ -205,7 +213,9 @@ def _vertex_cells(verts: _Vertices, ratios: np.ndarray,
 def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
                    budget: int | None, best_f: float) -> _Found:
     """Best rounded cell at the arrangement vertices that beats best_f on
-    G, for k >= 2.
+    G, for k >= 2.  Below psi^2 = 2 (1 - 1e-9) solve_dpk calls it only
+    when one of its budget checks could fire (_vertex_checks_pass), and
+    there it refuses or finds no a.
 
     A generic vertex yields its 2^k cells straight from its label (see
     _label_grid), and every row outside the label rounds to nearest;
@@ -297,14 +307,16 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     returned, which come from the same eigenpairs and are not compared
     again; any other g, dec or mix of the two is compared.  A None
     decomposition is accepted only for diagonal g, where the best
-    unit vector is already optimal.  For k = 1 solve_single's search,
-    _rank_one_search, sweeps x v / d (ties to the smallest x), and
-    breakpoint_count counts its crossings, unless psi^2 < 2 (1 - 1e-9)
-    (_unit_vector_wins), where the best unit vector is optimal and
-    nothing is swept (candidates_evaluated = n, breakpoint_count = 0);
-    for k >= 2 the candidates are
-    the rounded cells at each arrangement vertex (see _vertex_search),
-    and breakpoint_count counts the distinct vertices.  Either search
+    unit vector is already optimal.  When psi^2 < 2 (1 - 1e-9)
+    (_unit_vector_wins) the best unit vector is optimal and nothing is
+    searched (candidates_evaluated = n, breakpoint_count = 0), for k >= 2
+    only when neither vertex check below could refuse the search
+    (_vertex_checks_pass), so refusals do not depend on the skip.
+    Otherwise for k = 1 solve_single's search, _rank_one_search, sweeps
+    x v / d (ties to the smallest x), and breakpoint_count counts its
+    crossings; for k >= 2 the candidates are the rounded cells at each
+    arrangement vertex (see _vertex_search), and breakpoint_count counts
+    the distinct vertices.  Either search
     picks by SolverResult's rule on quad_objective: the best unit vector
     stays unless a candidate is strictly lower.  The witness is a point x
     of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2 entrywise:
@@ -322,28 +334,23 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     g_arr = g.entries
 
     best_f, best_a = _best_unit_vector(g_arr)
-    best_x: np.ndarray | None = None
-    candidates = g.n
-    vertex_count = 0
-
     if dec is None:
         off = g_arr - np.diag(np.diag(g_arr))
         if np.any(off != 0.0):
             raise ValueError("a decomposition is required unless the Gram matrix is diagonal")
+        return _solver_result(g_arr, best_a, None, t0, g.n, 0)
+    built = isinstance(dec, DpkDecomposition) and dec._gram is g
+    if not built and not validate_dpk(g, dec):
+        raise ValueError("decomposition does not reproduce the Gram matrix")
+    lam_min = _radius_eigenvalue(g)
+    cmax = _norm_ceiling(best_f, lam_min, dec.n, dec.k, budget)
+    if _unit_vector_wins(best_f, lam_min) and (
+            dec.k == 1 or _vertex_checks_pass(dec.n, dec.k, cmax, budget)):
+        return _solver_result(g_arr, best_a, None, t0, g.n, 0)
+    if dec.k >= 2:
+        a, x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
     else:
-        built = isinstance(dec, DpkDecomposition) and dec._gram is g
-        if not built and not validate_dpk(g, dec):
-            raise ValueError("decomposition does not reproduce the Gram matrix")
-        lam_min = _radius_eigenvalue(g)
-        cmax = _norm_ceiling(best_f, lam_min, dec.n, dec.k, budget)
-        a, scored = None, 0
-        if dec.k >= 2:
-            a, best_x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
-        elif not _unit_vector_wins(best_f, lam_min):
-            v = dec.v[:, 0]
-            a, best_x, scored, vertex_count = _rank_one_search(
-                g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
-        candidates += scored
-        if a is not None:
-            best_a = a
-    return _solver_result(g_arr, best_a, best_x, t0, candidates, vertex_count)
+        v = dec.v[:, 0]
+        a, x, scored, vertex_count = _rank_one_search(
+            g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
+    return _solver_result(g_arr, best_a if a is None else a, x, t0, g.n + scored, vertex_count)

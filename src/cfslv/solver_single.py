@@ -60,6 +60,20 @@ def _unit_vector_wins(best_f: float, lam_min: float) -> bool:
     return best_f < 2.0 * lam_min * (1.0 - 1e-9)
 
 
+def _vertex_checks_pass(n: int, k: int, cmax: int, budget: int | None) -> bool:
+    """Whether neither budget check inside solve_dpk's rank-k vertex
+    search can fire.  Of at most B = C(n, k) (2 cmax + 2)^k vertices
+    (_norm_ceiling's bound), the vertex-group guard sees at most C(B, k
+    + 1) groups, and the cell count at most B 2^n cells, since a vertex
+    has at most n tight directions.  solve_dpk skips that search for the
+    unit vector only when both fit, so its refusals do not depend on
+    _unit_vector_wins.  This check goes when the guard is deleted."""
+    if budget is None:
+        return True
+    bound = math.comb(n, k) * (2 * cmax + 2) ** k
+    return math.comb(bound, k + 1) <= budget and bound << n <= budget
+
+
 def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndarray,
                      cmax: int, best_f: float) -> _Found:
     """Best rounding a of x r, x > 0, that beats best_f on G = diag(d) -

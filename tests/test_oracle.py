@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cfslv.core import GramMatrix
+import cfslv.oracle
+from cfslv.core import GramMatrix, quad_objective
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
 from cfslv.oracle import _ellipsoid_search, ball_point_estimate, brute_force_slv, certification_radius
@@ -116,6 +117,24 @@ def test_unit_ball_tie_goes_to_the_last_unit_vector(g):
     assert ball.a_star.entries.tolist() == searched == np.eye(g.shape[0], dtype=int)[j].tolist()
     assert ball.f_star == g[j, j]
     assert ball.candidates_evaluated == count
+
+
+def test_only_tied_leaves_past_the_unit_vectors_are_rescored(monkeypatch):
+    rescored = []
+
+    def counting(g_arr, a):
+        rescored.append(list(a))
+        return quad_objective(g_arr, a)
+
+    monkeypatch.setattr(cfslv.oracle, "quad_objective", counting)
+    # (0, 1, -1) ties e_1 and e_0 at f = 2 exactly and is enumerated first
+    g = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.5], [0.0, 1.5, 3.0]])
+    assert _ellipsoid_search(g, 2.0)[0] == [0, 1, -1]
+    assert rescored == [[0, 1, -1]]
+    # a unit vector's running sum is already G_jj, bit for bit
+    rescored.clear()
+    assert _ellipsoid_search(np.eye(4), 1.5)[0] == [0, 0, 0, 1]
+    assert rescored == []
 
 
 def test_tiny_diagonal_entry():

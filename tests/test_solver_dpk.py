@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cfslv.solver_dpk
-from cfslv.core import DpkDecomposition, GramMatrix, canonical_sign, quadratic_form
+from cfslv.core import DpkDecomposition, GramMatrix, canonical_sign, quadratic_form, _best_unit_vector
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import (
     MimoChannel,
@@ -19,8 +19,13 @@ from cfslv.gram import (
     validate_dpk,
 )
 from cfslv.oracle import brute_force_slv, certification_radius
-from cfslv.solver_dpk import _vertex_cells, _vertex_labels, solve_dpk
-from cfslv.solver_single import _norm_ceiling, _rank_one_search, solve_single
+from cfslv.solver_dpk import _vertex_cells, _vertex_labels, _vertex_search, solve_dpk
+from cfslv.solver_single import (
+    _norm_ceiling,
+    _rank_one_search,
+    _unit_vector_wins,
+    solve_single,
+)
 
 
 def rank_one_dec():
@@ -360,18 +365,31 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
     dec = ratio_dec(ratios, d, top)
     gram = GramMatrix(np.diag(dec.d) - dec.v @ dec.v.T)
     res = solve_dpk(gram, dec, budget=None)
-    verts = _vertex_labels(dec, cmax_of(gram, dec))
-    assert res.breakpoint_count == verts.count
+    cmax = cmax_of(gram, dec)
+    verts = _vertex_labels(dec, cmax)
+    best_f, best_a = _best_unit_vector(gram.entries)
+    # the search itself, which solve_dpk skips when psi^2 < 2
+    a, x, _, count = _vertex_search(gram.entries, dec, cmax, None, best_f)
+    assert count == verts.count
     if name != "zero-row":
         assert verts.merged.size > 0
+    if _unit_vector_wins(best_f, gram.min_eigenvalue):
+        assert top == 0.5
+        assert (res.candidates_evaluated, res.breakpoint_count) == (dec.n, 0)
+        assert a is None
+    else:
+        assert res.breakpoint_count == verts.count
+    searched = quadratic_form(gram, best_a if a is None else a)
     radius = certification_radius(gram, res.f_star)
     oracle = brute_force_slv(gram, radius, budget=None)
-    assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
     box_f, _ = box_minimum(gram.entries, math.ceil(radius), radius)
-    assert abs(res.f_star - box_f) <= 1e-9 * max(1.0, box_f)
-    if res.witness_point is not None:
-        image = (dec.v / dec.d[:, None]) @ res.witness_point
-        assert np.all(np.abs(image - res.a_star.entries) <= 0.5 + 1e-9)
+    for f in res.f_star, searched:
+        assert abs(f - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+        assert abs(f - box_f) <= 1e-9 * max(1.0, box_f)
+    for witness, found in (res.witness_point, res.a_star.entries), (x, a):
+        if witness is not None:
+            image = (dec.v / dec.d[:, None]) @ witness
+            assert np.all(np.abs(image - found) <= 0.5 + 1e-9)
 
 
 THIRD = 1.0 / 3.0
@@ -610,6 +628,70 @@ def test_unit_vector_bound_matches_the_sweep(h, scale):
         assert (res.witness_point is None) == (x is None)
 
 
+def psi2_dec(v, psi2):
+    """The pair G = c I - V V^T whose psi^2 = (c - max_j |v_j|^2) / (c -
+    s^2), s the largest singular value of V, equals psi2."""
+    v = np.array(v)
+    top, s2 = np.max(np.sum(v * v, axis=1)), np.linalg.norm(v, 2) ** 2
+    dec = DpkDecomposition(d=np.full(v.shape[0], (psi2 * s2 - top) / (psi2 - 1.0)), v=v)
+    return GramMatrix(np.diag(dec.d) - v @ v.T), dec
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 + 1e-6])
+@pytest.mark.parametrize("v", [
+    ((1.0, 0.2), (0.3, -0.8), (-0.5, 0.6)),
+    ((0.5, -0.5), (0.5, 0.5), (1.0, 0.0), (0.0, 0.5)),
+    ((1.0, 0.2, 0.0), (0.3, -0.8, 0.4), (-0.5, 0.6, 0.1), (0.2, 0.1, -0.9)),
+])
+def test_rank_k_unit_vector_bound_matches_the_vertex_search(v, scale):
+    # below psi^2 = 2 (1 - 1e-9) solve_dpk keeps the best unit vector
+    # without the vertex search, at or above it it searches
+    gram, dec = psi2_dec(v, 2.0 * scale)
+    best_f, best_a = _best_unit_vector(gram.entries)
+    skipped = _unit_vector_wins(best_f, gram.min_eigenvalue)
+    assert skipped == (scale == 1.0 - 1e-6)
+    for budget in None, cfslv.solver_dpk.DEFAULT_COMBINATION_BUDGET:
+        try:
+            a, x, scored, count = _vertex_search(gram.entries, dec, cmax_of(gram, dec),
+                                                 budget, best_f)
+        except ResourceBudgetError:
+            # the k = 3 vertex groups exceed the default budget
+            assert dec.k == 3 and budget is not None
+            with pytest.raises(ResourceBudgetError):
+                solve_dpk(gram, dec, budget=budget)
+            continue
+        a = best_a if a is None else a
+        res = solve_dpk(gram, dec, budget=budget)
+        assert res.a_star.entries.tolist() == canonical_sign(a).entries.tolist()
+        assert res.f_star == quadratic_form(gram, a)
+        if skipped:
+            assert (res.candidates_evaluated, res.breakpoint_count) == (dec.n, 0)
+        else:
+            assert (res.candidates_evaluated, res.breakpoint_count) == (dec.n + scored, count)
+        assert (res.witness_point is None) == (x is None)
+
+
+def test_rank_k_skip_keeps_the_refusals():
+    # psi^2 < 2, so the best unit vector is optimal, but the vertex-group
+    # guard refuses the search at a small budget: the skip must not hide that
+    gram, dec = psi2_dec(((1.0, 0.2), (0.3, -0.8), (-0.5, 0.6)), 1.9)
+    assert _unit_vector_wins(_best_unit_vector(gram.entries)[0], gram.min_eigenvalue)
+    cmax = cmax_of(gram, dec)
+    bound = math.comb(3, 2) * (2 * cmax + 2) ** 2
+    # every label solves to a vertex of its own
+    assert _vertex_labels(dec, cmax).count == bound
+    groups = math.comb(bound, 3)
+    assert bound < 2000 < groups and bound << 3 < groups
+    for budget in 2000, groups - 1:
+        with pytest.raises(ResourceBudgetError,
+                           match=f"^{groups} vertex groups of size 3 exceed budget {budget}$"):
+            solve_dpk(gram, dec, budget=budget)
+    # from C(bound, 3) on neither check can fire, and nothing is searched
+    res = solve_dpk(gram, dec, budget=groups)
+    assert (res.candidates_evaluated, res.breakpoint_count) == (3, 0)
+    assert res.a_star.entries.tolist() == _best_unit_vector(gram.entries)[1].tolist()
+
+
 def rank_one_draws(rng, count):
     """User-supplied rank-one pairs: d over 1e-2..1e2, v with zero
     entries and equal or opposite gains, scaled so that G stays
@@ -724,15 +806,22 @@ def vertex_set_draws(rng, count):
 
 def test_vertex_set_keeps_subsets_the_decomposition_accepts():
     rng = np.random.default_rng(113)
-    solved = 0
+    solved = skipped = 0
     for gram, dec in vertex_set_draws(rng, 400):
         try:
             res = solve_dpk(gram, dec)
         except ResourceBudgetError:
             continue
-        # the one 2-row subset is W itself, which DpkDecomposition accepted
-        assert res.breakpoint_count > 0
+        # the one 2-row subset is W itself, which DpkDecomposition accepted;
+        # below psi^2 = 2 solve_dpk skips the vertices, so look at them directly
+        if _unit_vector_wins(_best_unit_vector(gram.entries)[0], gram.min_eigenvalue):
+            assert res.breakpoint_count == 0
+            assert _vertex_labels(dec, cmax_of(gram, dec)).rows.tolist() == [[0, 1]]
+            skipped += 1
+        else:
+            assert res.breakpoint_count > 0
         oracle = brute_force_slv(gram, certification_radius(gram, res.f_star), budget=None)
         assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
         solved += 1
     assert solved >= 50
+    assert 0 < skipped < solved
