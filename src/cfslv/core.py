@@ -124,7 +124,7 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def _check_dpk_spectrum(sv: np.ndarray) -> None:
+def _check_dpk_spectrum(sv: np.ndarray | list[float]) -> None:
     """DpkDecomposition's rank and definiteness tests on the singular
     values sv of W = diag(d)^-1/2 V, largest first."""
     if sv[0] == 0.0 or sv[-1] <= RANK_SV_RTOL * sv[0]:

@@ -40,19 +40,6 @@ def _radius_eigenvalue(g: GramMatrix) -> float:
     return lam_min
 
 
-def _built_gram(g: np.ndarray, lam_min: float) -> GramMatrix:
-    """GramMatrix of a G built in this module, whose smallest eigenvalue
-    lam_min is known in closed form.
-
-    Runs GramMatrix's finiteness check and exact symmetrization, so G's
-    bits and that error are unchanged, but not its symmetry test (G is
-    symmetric up to gemm rounding) or its eigensolve.
-    """
-    if not np.isfinite(g).all():
-        raise ValueError("Gram matrix entries must be finite")
-    return _unchecked(GramMatrix, entries=_freeze(0.5 * (g + g.T)), min_eigenvalue=lam_min)
-
-
 def _check_power(power: float) -> float:
     power = float(power)
     if not (math.isfinite(power) and power > 0.0):
@@ -122,7 +109,7 @@ def build_gram_single(h, power: float) -> GramMatrix:
     if h.n * _EPS * scale >= 0.25:
         return GramMatrix(g)
     # g is finite and exactly symmetric, as outer(h, h) is, so
-    # _built_gram's check and symmetrization would change no bit
+    # GramMatrix's finiteness check and symmetrization would change no bit
     return _unchecked(GramMatrix, entries=_freeze(g), min_eigenvalue=1.0)
 
 
@@ -147,16 +134,19 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
 
     Eigenpairs of H H^T with eigenvalue below 1e-12 contribute nothing
     and are dropped; if all are dropped (zero channel) the Gram matrix
-    is the identity and the decomposition is None.  The one eigensolve
-    of H H^T decides every invariant, and neither GramMatrix's nor
+    is the identity and the decomposition is None.  numpy forms h @ h.T
+    with syrk, so H H^T is exactly symmetric and is eigensolved as it is;
+    an entry of it at or above 2**1023 (where H H^T + (H H^T)^T would
+    overflow) or an eigenvalue that overflows raises ValueError.  That
+    one eigensolve decides every invariant, and neither GramMatrix's nor
     DpkDecomposition's checks run again: G = I - W diag(s) W^T, s_i = P
-    g_i^2 / (1 + P g_i^2), has eigenvalues 1 - s_i = 1 / (1 + P g_i^2)
-    and 1, so min_eigenvalue is 1 - s_max; V = W diag(s)^1/2
-    with d = 1 has singular values sqrt(s_i), on which the rank and
-    definiteness tests of DpkDecomposition run with the same
-    thresholds and messages.  Entries of H H^T or of G that overflow a
-    float raise ValueError, as GramMatrix does.  The returned
-    decomposition keeps a private reference to the returned G, so
+    g_i^2 / (1 + P g_i^2) formed on Python floats, has eigenvalues 1 -
+    s_i and 1, so min_eigenvalue is 1 - s_max; G is finite unless P
+    g_max^2 overflows, which raises GramMatrix's ValueError; V = W
+    diag(s)^1/2 with d = 1 has singular values sqrt(s_i), on which
+    DpkDecomposition's rank and definiteness tests run with the same
+    thresholds and messages.  G is symmetrized exactly, as GramMatrix
+    does, and the decomposition keeps a private reference to it, so
     solve_dpk does not compare the pair again.
     """
     if not isinstance(channel, MimoChannel):
@@ -166,22 +156,31 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     n, k = channel.n, channel.k
     with np.errstate(over="ignore", invalid="ignore"):
         outer = h @ h.T
-        values, vectors = np.linalg.eigh(0.5 * (outer + outer.T))
-    if not np.isfinite(values).all():
+    # |(H H^T)_ij| <= max_i (H H^T)_ii (1 + 3 k eps): below 2**1022 there, no entry reaches 2**1023
+    if not (max(outer.diagonal().tolist()) < 2.0**1022 or abs(outer).max() < 2.0**1023):
         raise ValueError("H H^T overflows a float; scale the channel down")
-    # eigh sorts ascending; take the top k pairs, largest first
-    gains2 = values[::-1][:k]
-    keep = gains2 > EIGENVALUE_FLOOR
-    w = vectors[:, ::-1][:, :k][:, keep]
-    gains2 = gains2[keep]
-    if gains2.size == 0:
-        return _built_gram(np.eye(n), 1.0), None
-    with np.errstate(over="ignore", invalid="ignore"):
-        shrink = power * gains2 / (1.0 + power * gains2)
+    values, vectors = np.linalg.eigh(outer)
+    values = values.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("H H^T overflows a float; scale the channel down")
+    # eigh sorts ascending: the top k eigenvalues, largest first, above the floor
+    gains2 = [x for x in values[:-k - 1:-1] if x > EIGENVALUE_FLOOR]
+    m = len(gains2)
+    if m == 0:
+        return _unchecked(GramMatrix, entries=_freeze(np.eye(n)), min_eigenvalue=1.0), None
+    shrink = [power * x / (1.0 + power * x) for x in gains2]
+    if math.isnan(shrink[0]):  # P g_max^2 overflows, and G with it
+        raise ValueError("Gram matrix entries must be finite")
+    # their eigenvectors, largest first, copied column-major: BLAS rounds on one fixed layout
+    w = vectors[:, :-m - 1:-1].copy(order="F")
+    g = np.eye(n)
+    g -= (w * shrink) @ w.T
+    g += g.T
+    g *= 0.5
     # 1 - s_max, not 1 / (1 + P g_max^2): the same value, but rounded as
     # G's own entries are, so a diagonal G keeps min G_jj / lambda_min = 1
-    g = _built_gram(np.eye(n) - (w * shrink) @ w.T, float(1.0 - shrink[0]))
-    sv = np.sqrt(shrink)  # V's singular values, largest first
+    g = _unchecked(GramMatrix, entries=_freeze(g), min_eigenvalue=1.0 - shrink[0])
+    sv = [math.sqrt(x) for x in shrink]  # V's singular values, largest first
     _check_dpk_spectrum(sv)
     dec = _unchecked(DpkDecomposition, d=_freeze(np.ones(n)), v=_freeze(w * sv), _gram=g)
     return g, dec

@@ -183,9 +183,15 @@ def _public_build(channel):
         return str(exc)
 
 
+# the largest float whose square stays below 2**1023, and the next one
+BELOW_OVERFLOW = 9.480751908109176e153
+ABOVE_OVERFLOW = 9.480751908109177e153
+
+
 def _agreement_channels():
     rng = np.random.default_rng(41)
-    for kind in ("gaussian", "rank-deficient", "zero-column", "wide-range", "high-power"):
+    for kind in ("gaussian", "rank-deficient", "zero-column", "wide-range", "high-power",
+                 "integer", "half-integer", "k=3"):
         for _ in range(40):
             n = int(rng.integers(1, 9))
             k = int(rng.integers(1, min(n, 3) + 1))
@@ -200,21 +206,47 @@ def _agreement_channels():
                 power = float(10.0 ** rng.uniform(-10.0, 2.0))
             elif kind == "high-power":
                 power = float(10.0 ** rng.uniform(2.0, 9.0))
+            elif kind == "integer":
+                h = rng.integers(-2, 3, (n, k)).astype(float)
+            elif kind == "half-integer":
+                h = rng.integers(-4, 5, (n, k)) / 2.0
+            elif kind == "k=3":
+                n = int(rng.integers(3, 9))
+                h = rng.standard_normal((n, 3))
             yield MimoChannel(h_matrix=h, power=power)
     # V's singular values 0.995 and 3.2e-11: rank deficient by the 1e-10 ratio test
     yield MimoChannel(h_matrix=np.array([[1e6, 0.0], [0.0, 3.2e-6], [0.0, 0.0]]), power=1e-10)
+    # H H^T on either side of 2**1023, where the symmetrized sum overflows
+    for gain in (BELOW_OVERFLOW, ABOVE_OVERFLOW, 1.1e154):
+        for power in (1e-300, 1.0):
+            if not (gain == BELOW_OVERFLOW and power == 1.0):  # G rounds to singular there
+                yield MimoChannel(h_matrix=np.array([[gain], [1.0]]), power=power)
+
+
+def _symmetrized_overflows(channel):
+    """True when 0.5 (H H^T + (H H^T)^T), the matrix _public_build
+    eigensolves, or an eigenvalue of it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = channel.h_matrix @ channel.h_matrix.T
+        sym = 0.5 * (outer + outer.T)
+    return not (np.isfinite(sym).all() and np.isfinite(np.linalg.eigvalsh(sym)).all())
 
 
 def test_built_pair_agrees_with_the_public_checks():
     outcomes = {"accepted": 0, "rejected": 0}
     for channel in _agreement_channels():
-        reference = _public_build(channel)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow channels
+            reference = _public_build(channel)
         try:
             g, dec = build_gram_mimo(channel)
         except ValueError as exc:
-            assert str(exc) == reference
+            if str(exc).startswith("H H^T overflows"):
+                assert _symmetrized_overflows(channel)
+            else:
+                assert str(exc) == reference
             outcomes["rejected"] += 1
             continue
+        assert not _symmetrized_overflows(channel)
         outcomes["accepted"] += 1
         ref_g, ref_dec = reference
         assert np.array_equal(GramMatrix(g.entries).entries, g.entries)
@@ -232,7 +264,7 @@ def test_built_pair_agrees_with_the_public_checks():
         # itself is small
         tol = 10 * g.n * np.finfo(float).eps * max(1.0, np.linalg.norm(g.entries))
         assert abs(g.min_eigenvalue - np.linalg.eigvalsh(g.entries)[0]) <= tol
-    assert outcomes["rejected"] >= 1 and outcomes["accepted"] >= 150
+    assert outcomes["rejected"] >= 5 and outcomes["accepted"] >= 250
 
 
 def test_rank_deficient_decomposition_message():
@@ -256,12 +288,44 @@ def test_extreme_power_still_fails(power, message):
         search_radius_psi(gram)
 
 
-@pytest.mark.parametrize("gain", [1e200, 1e154])
-def test_mimo_overflow_is_rejected(gain):
-    # H H^T overflows at 1e200, its symmetrized sum at 1e154; the NaN
-    # eigenvalues must not be dropped as zero gains
+@pytest.mark.parametrize("h, power", [
+    pytest.param([[1e200], [1e200]], 1.0, id="1e+200"),
+    pytest.param([[1e154], [1e154]], 1.0, id="1e+154"),
+    # an infinite H H^T is rejected before LAPACK, which may not converge on it
+    pytest.param([[1e200], [1e200], [1e200]], 1.0, id="1e+200-n3"),
+    pytest.param([[1.1e154], [1.0]], 1e-300, id="1.1e+154-P1e-300"),
+    pytest.param([[1.1e154], [1.0]], 1.0, id="1.1e+154-P1"),
+    pytest.param([[ABOVE_OVERFLOW], [0.0]], 1e-300, id="2**1023-P1e-300"),
+])
+def test_mimo_overflow_is_rejected(h, power):
+    # H H^T overflows at 1e200; from 2**1023 on, H H^T + (H H^T)^T does,
+    # even where P g^2 and G would be finite; NaN eigenvalues must not be
+    # dropped as zero gains
     with pytest.raises(ValueError, match=r"^H H\^T overflows a float"):
-        build_gram_mimo(MimoChannel(h_matrix=np.full((2, 1), gain), power=1.0))
+        build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=power))
+
+
+def test_hht_is_exactly_symmetric_and_eigh_reads_one_triangle():
+    # build_gram_mimo eigensolves h @ h.T unsymmetrized: numpy must form it
+    # with syrk, exactly symmetric, and eigh must read only its lower triangle
+    rng = np.random.default_rng(57)
+    for kind in ("gaussian", "integer", "wide-range"):
+        for _ in range(700):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, min(n, 3) + 1))
+            if kind == "gaussian":
+                h = rng.standard_normal((n, k))
+            elif kind == "integer":
+                h = rng.integers(-2, 3, (n, k)).astype(float)
+            else:
+                h = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, k))
+            h = MimoChannel(h_matrix=h, power=1.0).h_matrix
+            outer = h @ h.T
+            assert np.array_equal(outer, outer.T)
+            values, vectors = np.linalg.eigh(outer)
+            lower_values, lower_vectors = np.linalg.eigh(np.tril(outer))
+            assert values.tobytes() == lower_values.tobytes()
+            assert vectors.tobytes() == lower_vectors.tobytes()
 
 
 def test_mimo_channel_validation():
