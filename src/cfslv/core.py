@@ -74,7 +74,7 @@ class CoefficientVector:
         entries = np.array(raw, dtype=np.int64)
         if entries.ndim != 1 or entries.size < 1:
             raise ValueError("coefficients must form a one-dimensional vector")
-        if not entries.any():
+        if not np.count_nonzero(entries):
             raise ValueError("coefficient vector must be nonzero")
         object.__setattr__(self, "entries", _freeze(entries))
 
@@ -184,15 +184,16 @@ class DpkDecomposition:
 class SolverResult:
     """Outcome of one exact search.
 
-    f_star is the objective recomputed from scratch at a_star, so it is
-    reproducible independent of any incremental arithmetic used during
-    the search.  Every solver picks a_star by quad_objective on G, the
-    function f_star comes from: the lowest candidate wins if it is
-    strictly below the best unit vector, and an exact tie between
-    candidates goes to the smallest x for k = 1 and to the first vertex
-    on the 1e-9 grid for k >= 2.  witness_point is a point x of a_star's
-    closed cell (None when a unit vector won): for solve_single an
-    interval midpoint with round(x h) = a_star; for solve_dpk
+    f_star is quad_objective(G, a_star), so it is reproducible
+    independent of any incremental arithmetic used during the search;
+    for a unit vector winner e_j it is G_jj read from the diagonal,
+    which is that value bit for bit.  Every solver picks a_star by
+    quad_objective on G, the function f_star comes from: the lowest
+    candidate wins if it is strictly below the best unit vector, and an
+    exact tie between candidates goes to the smallest x for k = 1 and to
+    the first vertex on the 1e-9 grid for k >= 2.  witness_point is a
+    point x of a_star's closed cell (None when a unit vector won): for
+    solve_single an interval midpoint with round(x h) = a_star; for solve_dpk
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
     for k = 1 and the vertex of that tie rule for k >= 2.  When psi^2 =
     min_j G_jj / lambda_min is below 2 (1 - 1e-9), only unit vectors can
@@ -277,10 +278,30 @@ def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
     return float(diag[j]), a
 
 
+def _unit_result(e_j: np.ndarray, g_jj: float, t0: float,
+                 candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
+    """The SolverResult of a unit vector winner e_j, with no witness.
+
+    e_j is canonical already, and quad_objective(G, e_j) is G_jj bit for
+    bit (every other term is +-0), so f_star is the g_jj the caller read
+    from G's diagonal: the same result as _solver_result's without its
+    sign pass or matrix products.  a_star is still a CoefficientVector
+    checked at construction.
+    """
+    return SolverResult(
+        a_star=CoefficientVector(e_j),
+        f_star=g_jj,
+        candidates_evaluated=candidates_evaluated,
+        breakpoint_count=breakpoint_count,
+        elapsed_seconds=time.perf_counter() - t0,
+    )
+
+
 def _solver_result(g_entries: np.ndarray, best_a: np.ndarray, witness: np.ndarray | None,
                    t0: float, candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
-    """A solver's SolverResult: best_a in canonical sign, the witness
-    negated with it, f_star recomputed on G, elapsed time since t0."""
+    """The SolverResult of a search winner best_a: best_a in canonical
+    sign, the witness negated with it, f_star = quad_objective on G,
+    elapsed time since t0.  A unit vector winner goes to _unit_result."""
     a = CoefficientVector(best_a)
     a_star = canonical_sign(a)
     if witness is not None and a_star is not a:

@@ -17,7 +17,14 @@ import time
 
 import numpy as np
 
-from .core import SolverResult, as_gram_matrix, quad_objective, _check_budget, _solver_result
+from .core import (
+    SolverResult,
+    as_gram_matrix,
+    quad_objective,
+    _check_budget,
+    _solver_result,
+    _unit_result,
+)
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue
 
@@ -51,6 +58,11 @@ def certification_radius(g, f_value: float) -> float:
     if not (math.isfinite(f_value) and f_value > 0.0):
         raise ValueError("objective bound must be finite and positive")
     return max(1.0, math.sqrt(f_value / _radius_eigenvalue(g)) * (1.0 + 1e-9))
+
+
+def _is_unit(point: list[int]) -> bool:
+    """Whether a canonical-sign point is a unit vector: n - 1 zeros and a 1."""
+    return point.count(0) == len(point) - 1 and 1 in point
 
 
 def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | None, int]:
@@ -133,14 +145,13 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
     leaves = [(f, point) for f, point in near if f <= cut]
     if len(leaves) < 2:
         return (leaves[0][1] if leaves else None), evaluated
-    # canonical sign makes a point with n - 1 zeros and a 1 a unit vector
-    f_g = [f if point.count(0) == n - 1 and 1 in point else quad_objective(g_arr, point)
-           for f, point in leaves]
+    f_g = [f if _is_unit(point) else quad_objective(g_arr, point) for f, point in leaves]
     return leaves[f_g.index(min(f_g))][1], evaluated
 
 
-def _unit_vector_search(g_arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """_ellipsoid_search's result for a ball with radius^2 < 2 - 1e-8.
+def _unit_vector_search(g_arr: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """_ellipsoid_search's result for a ball with radius^2 < 2 - 1e-8,
+    as (e_j, G_jj, count), from one pass over G's diagonal.
 
     Every other nonzero integer vector has |a|^2 >= 2, and the search
     admits a second unit step only from radius^2 >= 2 - 2e-9, so only
@@ -149,11 +160,12 @@ def _unit_vector_search(g_arr: np.ndarray) -> tuple[np.ndarray, int]:
     search enumerates first.  The count is the unit vectors in the
     ellipsoid f(a) <= min_j G_jj (1 + 1e-9).
     """
-    diag = g_arr.diagonal()
-    j = diag.size - 1 - int(diag[::-1].argmin())
-    a = np.zeros(diag.size, dtype=np.int64)
-    a[j] = 1
-    return a, int(np.count_nonzero(diag <= diag[j] * (1.0 + _SLACK)))
+    diag = g_arr.diagonal().tolist()
+    g_jj = min(diag)
+    a = np.zeros(len(diag), dtype=np.int64)
+    a[len(diag) - 1 - diag[::-1].index(g_jj)] = 1
+    cut = g_jj * (1.0 + _SLACK)
+    return a, g_jj, sum(x <= cut for x in diag)
 
 
 def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUDGET) -> SolverResult:
@@ -169,7 +181,9 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     When radius^2 < 2 - 1e-8 the ball holds only unit vectors:
     _unit_vector_search returns the same vector, and counts the unit
     vectors in the ellipsoid, without a Cholesky factor or a search.
-    Raises
+    A unit vector winner e_j, from that pass or from the search, is
+    reported through _unit_result with f_star = G_jj, the same bits as
+    quad_objective.  Raises
     ResourceBudgetError when the ball's estimated point count, an
     upper bound on that work, exceeds budget, and ValueError if budget
     is below 1.
@@ -188,9 +202,12 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
         )
     g_arr = g.entries
     if radius * radius < 2.0 - 1e-8:
-        best_a, evaluated = _unit_vector_search(g_arr)
-    else:
-        best_a, evaluated = _ellipsoid_search(g_arr, radius)
-    if best_a is None:
+        e_j, g_jj, evaluated = _unit_vector_search(g_arr)
+        return _unit_result(e_j, g_jj, t0, evaluated, 0)
+    point, evaluated = _ellipsoid_search(g_arr, radius)
+    if point is None:
         raise AssertionError("radius >= 1 guarantees at least one candidate")
-    return _solver_result(g_arr, np.array(best_a), None, t0, evaluated, 0)
+    if _is_unit(point):
+        j = point.index(1)
+        return _unit_result(np.array(point), float(g_arr[j, j]), t0, evaluated, 0)
+    return _solver_result(g_arr, np.array(point), None, t0, evaluated, 0)

@@ -41,6 +41,7 @@ from .core import (
     _check_budget,
     _freeze,
     _solver_result,
+    _unit_result,
 )
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue, validate_dpk
@@ -338,7 +339,7 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         off = g_arr - np.diag(np.diag(g_arr))
         if np.any(off != 0.0):
             raise ValueError("a decomposition is required unless the Gram matrix is diagonal")
-        return _solver_result(g_arr, best_a, None, t0, g.n, 0)
+        return _unit_result(best_a, best_f, t0, g.n, 0)
     built = isinstance(dec, DpkDecomposition) and dec._gram is g
     if not built and not validate_dpk(g, dec):
         raise ValueError("decomposition does not reproduce the Gram matrix")
@@ -346,11 +347,13 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     cmax = _norm_ceiling(best_f, lam_min, dec.n, dec.k, budget)
     if _unit_vector_wins(best_f, lam_min) and (
             dec.k == 1 or _vertex_checks_pass(dec.n, dec.k, cmax, budget)):
-        return _solver_result(g_arr, best_a, None, t0, g.n, 0)
+        return _unit_result(best_a, best_f, t0, g.n, 0)
     if dec.k >= 2:
         a, x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
     else:
         v = dec.v[:, 0]
         a, x, scored, vertex_count = _rank_one_search(
             g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
-    return _solver_result(g_arr, best_a if a is None else a, x, t0, g.n + scored, vertex_count)
+    if a is None:
+        return _unit_result(best_a, best_f, t0, g.n + scored, vertex_count)
+    return _solver_result(g_arr, a, x, t0, g.n + scored, vertex_count)

@@ -27,6 +27,7 @@ from .core import (
     _best_unit_vector,
     _check_budget,
     _solver_result,
+    _unit_result,
 )
 from .errors import ResourceBudgetError
 from .gram import _check_power, _radius_eigenvalue, _single_scale, build_gram_single
@@ -162,8 +163,9 @@ def _solve_single(h, power: float, *,
     lam_min = _radius_eigenvalue(gram)
     cmax = _norm_ceiling(best_f, lam_min, n, 1, budget)
     if _unit_vector_wins(best_f, lam_min):
-        return _solver_result(g_arr, best_a, None, t0, n, 0), gram
+        return _unit_result(best_a, best_f, t0, n, 0), gram
     a, x, scored, crossings = _rank_one_search(
         g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)
-    res = _solver_result(g_arr, best_a if a is None else a, x, t0, n + scored, crossings)
-    return res, gram
+    if a is None:
+        return _unit_result(best_a, best_f, t0, n + scored, crossings), gram
+    return _solver_result(g_arr, a, x, t0, n + scored, crossings), gram

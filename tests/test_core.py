@@ -12,9 +12,15 @@ from cfslv.core import (
     GramMatrix,
     SolverResult,
     canonical_sign,
+    quad_objective,
     quadratic_form,
+    _solver_result,
 )
 from cfslv.errors import ConvergenceError
+from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
+from cfslv.oracle import brute_force_slv
+from cfslv.solver_dpk import solve_dpk
+from cfslv.solver_single import _solve_single
 
 nonzero_int_vectors = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=1, max_size=8
@@ -215,6 +221,92 @@ def test_solver_result_validation():
     with pytest.raises(ValueError):
         SolverResult(a_star=a, f_star=1.0, candidates_evaluated=0,
                      breakpoint_count=0, elapsed_seconds=0.0)
+
+
+def _unit_value_grams():
+    rng = np.random.default_rng(20)
+    grams = [build_gram_single(rng.standard_normal(n), power)
+             for n in (1, 3, 6) for power in (0.05, 1.0, 40.0)]
+    grams.append(build_gram_single([1e150, 1.0, -3e-7], 1e-290))
+    grams += [build_gram_mimo(MimoChannel(h_matrix=rng.standard_normal((n, k)), power=power))[0]
+              for k in (1, 2, 3) for n in (k, k + 2) for power in (0.1, 3.0)]
+    grams.append(GramMatrix(np.array([[5.0, -2.0, 1.0], [-2.0, 6.0, 3.0], [1.0, 3.0, 7.0]])))
+    wide = np.full((4, 4), -0.0)
+    np.fill_diagonal(wide, [1e-300, 3e-7, 1.0, 2.5e150])
+    grams.append(GramMatrix(wide))
+    wide[0, 2] = wide[2, 0] = 1e-300
+    wide[1, 3] = wide[3, 1] = -2e-310
+    grams.append(GramMatrix(wide))
+    return grams
+
+
+def test_unit_vector_value_is_the_diagonal():
+    # _unit_result reports G_jj as f_star for a unit winner e_j: every
+    # other term of e_j^T G e_j is +-0, so quad_objective gives G_jj bit for bit
+    for gram in _unit_value_grams():
+        g = gram.entries
+        for j in range(gram.n):
+            e_j = np.zeros(gram.n, dtype=np.int64)
+            e_j[j] = 1
+            assert quad_objective(g, e_j).hex() == float(g[j, j]).hex()
+
+
+def _dpk(h, power):
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=power))
+    return solve_dpk(gram, dec), gram
+
+
+def _diagonal_dpk():
+    gram = GramMatrix(np.diag([2.0, 1.0, 1.0]))
+    return solve_dpk(gram, None), gram
+
+
+def _oracle(gram, radius):
+    return brute_force_slv(gram, radius), gram
+
+
+# every path that reports a unit vector winner, with the index of the
+# winner (the first smallest G_jj for the solvers, the last for the
+# oracle) and whether the path searched (for the oracle, radius^2 >= 2)
+UNIT_WINNER_PATHS = {
+    "solve_single skip": (lambda: _solve_single([1.0, 0.5], 0.1), 0, False),
+    "solve_single found nothing": (lambda: _solve_single([2.0, 1.0, 0.5], 1.0), 0, True),
+    # (1, 0, -1, 0, 0) ties e_0 at f = 7 exactly; the unit vector stays
+    "solve_single exact tie": (lambda: _solve_single([3.0, -1.0, -2.0, 1.0, 0.0], 1.0), 0, True),
+    "solve_dpk skip k=1": (lambda: _dpk([[1.0], [0.5]], 0.1), 0, False),
+    "solve_dpk skip k=2": (lambda: _dpk([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 0.1), 2, False),
+    "solve_dpk dec=None": (_diagonal_dpk, 1, False),
+    "solve_dpk found nothing k=1": (lambda: _dpk([[3.0], [1.0]], 2.0), 0, True),
+    "solve_dpk found nothing k=2": (lambda: _dpk([[1.0, 0.5], [0.5, 1.0], [0.0, 2.0]], 1.0), 2, True),
+    "oracle unit ball": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.2), 2, False),
+    "oracle unit leaf": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.5), 2, True),
+    "oracle unit leaf, dense G": (lambda: _oracle(build_gram_single([2.0, 1.0, 0.5], 1.0), 2.0), 0, True),
+}
+
+
+@pytest.mark.parametrize("path", list(UNIT_WINNER_PATHS))
+def test_unit_winner_matches_solver_result(path):
+    # _unit_result gives what _solver_result gives for the same e_j: the
+    # same a_star, f_star bits and counts, and no witness
+    run, j, searched = UNIT_WINNER_PATHS[path]
+    res, gram = run()
+    e_j = np.zeros(gram.n, dtype=np.int64)
+    e_j[j] = 1
+    ref = _solver_result(gram.entries, e_j, None, 0.0, res.candidates_evaluated, res.breakpoint_count)
+    assert res.a_star.entries.tolist() == ref.a_star.entries.tolist() == e_j.tolist()
+    assert res.a_star.entries.dtype == np.int64 and not res.a_star.entries.flags.writeable
+    assert res.f_star.hex() == ref.f_star.hex() == float(gram.entries[j, j]).hex()
+    assert res.witness_point is None
+    if path.startswith("oracle"):
+        # the oracle counts the points it scored, as many with or without a search
+        assert res.breakpoint_count == 0 and res.candidates_evaluated >= 1
+    else:
+        assert (res.breakpoint_count > 0) == searched
+        assert res.candidates_evaluated >= gram.n
+    # each result owns its a_star: two runs share no array
+    again = run()[0]
+    assert again.a_star is not res.a_star
+    assert not np.shares_memory(again.a_star.entries, res.a_star.entries)
 
 
 def test_convergence_error_is_a_runtime_error():

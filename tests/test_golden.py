@@ -43,15 +43,19 @@ def _floats(value):
     return float.fromhex(value)
 
 
-def _mismatches(result_for, ties):
+def _mismatches(result_for, ties, value):
+    """Rows whose result differs from the stored a_star (or the tie's
+    vector) or whose f_star is off the stored value by more than 1e-12
+    relative; bit equality would not carry across BLAS builds."""
     mismatches = []
     for row in GOLDEN:
         h = np.array(_floats(row["h"]))
         f_star = float.fromhex(row["f_star"])
         res = result_for(h, float.fromhex(row["power"]), f_star)
         expected = ties.get((row["kind"], row["seed"]), row["a_star"])
+        f_expected = float.fromhex(row[value])
         if (res.a_star.entries.tolist() != expected
-                or abs(res.f_star - f_star) > 1e-12 * abs(f_star)):
+                or abs(res.f_star - f_expected) > 1e-12 * abs(f_expected)):
             mismatches.append((row["kind"], row["seed"], res.a_star.entries.tolist(), expected))
     return mismatches
 
@@ -72,8 +76,8 @@ def _oracle(h, power, f_star):
 
 def test_golden_a_star():
     assert len(GOLDEN) == 370
-    assert not _mismatches(_solver, {})
+    assert not _mismatches(_solver, {}, "f_star")
 
 
 def test_golden_oracle():
-    assert not _mismatches(_oracle, ORACLE_TIES)
+    assert not _mismatches(_oracle, ORACLE_TIES, "f_oracle")
