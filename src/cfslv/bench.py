@@ -13,7 +13,6 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .core import ChannelVector, _check_budget
 from .gram import MimoChannel, build_gram_mimo
 from .oracle import brute_force_slv, certification_radius
-from .rate import rate_from_objective
+from .rate import _rate_bits
 from .solver_dpk import solve_dpk
 from .solver_single import _solve_single
 
@@ -146,9 +145,10 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     if config.mode == "single":
         # validated once here; every call below skips it on the isinstance
         h = ChannelVector(rng.standard_normal(n))
-        # the one G of the trial: searched by the solver, certified by the oracle
-        res, gram = _solve_single(h, power, **kwargs)
-        rate = rate_from_objective(res.f_star, h, power)
+        # the one G and 1 + P|h|^2 of the trial: G searched by the solver
+        # and certified by the oracle, the scale giving the rate
+        res, gram, scale = _solve_single(h, power, **kwargs)
+        rate = _rate_bits(scale, res.f_star)
     else:
         h_matrix = rng.standard_normal((n, config.k))
         channel = MimoChannel(h_matrix=h_matrix, power=power)
@@ -212,6 +212,9 @@ def run_bench(config: BenchConfig) -> BenchResult:
     if workers == 1:
         outcomes = [_trial_task(t) for t in tasks]
     else:
+        # imported here: a serial run, and import cfslv, do without it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_trial_task, tasks, chunksize=chunk))

@@ -32,7 +32,7 @@ from .core import CoefficientVector, GramMatrix, SolverResult
 from .errors import ResourceBudgetError
 from .gram import MimoChannel, build_gram_mimo, search_radius_psi
 from .oracle import brute_force_slv
-from .rate import computation_rate, rate_from_objective
+from .rate import _rate_bits, computation_rate
 from .solver_dpk import solve_dpk
 from .solver_single import _solve_single
 
@@ -102,7 +102,7 @@ def _parse_range(text: str, kind: str) -> tuple:
 def cmd_solve(args: argparse.Namespace) -> int:
     h = parse_vector(args.h)
     kwargs = {} if args.budget is None else {"budget": args.budget}
-    res, gram = _solve_single(h, args.power, **kwargs)
+    res, gram, scale = _solve_single(h, args.power, **kwargs)
     print_document([
         ("command", "solve"),
         ("n", h.size),
@@ -110,7 +110,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ("psi", search_radius_psi(gram)),
         ("f_star", res.f_star),
         ("a_star", _int_csv(res.a_star.entries)),
-        ("rate_bits", rate_from_objective(res.f_star, h, args.power)),
+        ("rate_bits", _rate_bits(scale, res.f_star)),
         ("breakpoint_count", res.breakpoint_count),
         ("candidates_evaluated", res.candidates_evaluated),
         _elapsed(args, res),

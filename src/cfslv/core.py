@@ -185,9 +185,10 @@ class SolverResult:
     """Outcome of one exact search.
 
     f_star is quad_objective(G, a_star), so it is reproducible
-    independent of any incremental arithmetic used during the search;
-    for a unit vector winner e_j it is G_jj read from the diagonal,
-    which is that value bit for bit.  Every solver picks a_star by
+    independent of any incremental arithmetic used during the search:
+    the value the search scored its winner with on G (the same bits in
+    either sign), and for a unit vector winner e_j G_jj read from the
+    diagonal, which is that value bit for bit.  Every solver picks a_star by
     quad_objective on G, the function f_star comes from: the lowest
     candidate wins if it is strictly below the best unit vector, and an
     exact tie between candidates goes to the smallest x for k = 1 and to
@@ -297,18 +298,21 @@ def _unit_result(e_j: np.ndarray, g_jj: float, t0: float,
     )
 
 
-def _solver_result(g_entries: np.ndarray, best_a: np.ndarray, witness: np.ndarray | None,
+def _solver_result(best_a: np.ndarray, f_star: float, witness: np.ndarray | None,
                    t0: float, candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
     """The SolverResult of a search winner best_a: best_a in canonical
-    sign, the witness negated with it, f_star = quad_objective on G,
-    elapsed time since t0.  A unit vector winner goes to _unit_result."""
+    sign, the witness negated with it, elapsed time since t0, and f_star
+    the value quad_objective gave best_a on G when the search picked it,
+    which is that of a_star too: negating a vector negates v G and v
+    exactly, so v G v keeps its bits.  A unit vector winner goes to
+    _unit_result."""
     a = CoefficientVector(best_a)
     a_star = canonical_sign(a)
     if witness is not None and a_star is not a:
         witness = -witness
     return SolverResult(
         a_star=a_star,
-        f_star=quad_objective(g_entries, a_star.entries),
+        f_star=f_star,
         candidates_evaluated=candidates_evaluated,
         breakpoint_count=breakpoint_count,
         elapsed_seconds=time.perf_counter() - t0,

@@ -97,16 +97,33 @@ def build_gram_single(h, power: float) -> GramMatrix:
     n eps (1 + P|h|^2), can reach a quarter of that eigenvalue 1: then
     G is checked as GramMatrix checks any matrix, and a rounded G that
     is not positive definite raises ValueError.  Entries that overflow a
-    float raise ValueError, as GramMatrix's own check does.
+    float raise ValueError, as GramMatrix's own check does.  G comes
+    from _gram_single, as solve_single's does.
     """
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = 1.0 + power * float(hv.dot(hv))
-        # hv[:, None] * hv is the multiply np.outer runs, without its wrapper
-        g = scale * np.eye(h.n) - power * (hv[:, None] * hv)
-    if h.n * _EPS * scale >= 0.25:
+        # an infinite scale gives an infinite diagonal, which GramMatrix rejects
+        return _gram_single(hv, power, 1.0 + power * float(hv.dot(hv)))
+
+
+def _gram_single(hv: np.ndarray, power: float, scale: float) -> GramMatrix:
+    """build_gram_single's G for channel entries hv, from scale = 1 +
+    P|h|^2 as _single_scale forms it.
+
+    G = 0 - P h h^T, then scale added on the diagonal: the bits of
+    scale I - P h h^T (scale - x is scale + (0 - x), and 0 - x turns a
+    -0 product into +0, as scale * 0 - x does) without the identity or
+    a second temporary.
+    """
+    n = hv.size
+    # hv[:, None] * hv is the multiply np.outer runs, without its wrapper
+    g = hv[:, None] * hv
+    g *= power
+    np.subtract(0.0, g, out=g)
+    g.ravel()[:: n + 1] += scale
+    if n * _EPS * scale >= 0.25:
         return GramMatrix(g)
     # g is finite and exactly symmetric, as outer(h, h) is, so
     # GramMatrix's finiteness check and symmetrization would change no bit

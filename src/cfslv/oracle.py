@@ -65,14 +65,20 @@ def _is_unit(point: list[int]) -> bool:
     return point.count(0) == len(point) - 1 and 1 in point
 
 
-def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | None, int]:
-    """Minimiser over ball and ellipsoid, and the number of points scored.
+def _ellipsoid_search(g_arr: np.ndarray,
+                      radius: float) -> tuple[list[int] | None, float | None, int]:
+    """Minimiser over ball and ellipsoid, its value on G, and the number
+    of points scored.
 
     Coordinates are fixed 0..n-1, values ascending, and each point is
-    scored as partial + v (2 (G a)_d + G_dd v) from its prefix.  The
-    points within 1e-9 of the lowest such score are ranked again with
-    quad_objective, except the unit vectors, whose score is already G_jj
-    bit for bit; the first in enumeration order wins an exact tie.
+    scored as partial + v (2 (G a)_d + G_dd v) from its prefix.  A level
+    whose interval is {0} adds only its term to the lower bound, so it
+    is passed without the cross term (G a)_d.  The points within 1e-9 of
+    the lowest such score are ranked again with quad_objective, except
+    the unit vectors, whose score is already G_jj bit for bit; the first
+    in enumeration order wins an exact tie.  The value is the winner's
+    from that ranking, or None when it was the only point near the
+    lowest and was never scored on G.
     """
     n = g_arr.shape[0]
     g = g_arr.tolist()
@@ -100,9 +106,8 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
     best_f, evaluated = math.inf, 0
     d = 0
     while True:
-        s = c = 0.0
+        c = 0.0
         for j in nonzero:
-            s += a[j] * g[j][d]
             c -= a[j] * m[d][j]
         rem = r2 - sq[d]
         ball = math.floor(math.sqrt(rem) + _SLACK) if rem > 0.0 else 0
@@ -112,6 +117,17 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
         least = -ball if nonzero else 0
         lo = math.ceil(c - width) if c - width > least else least
         hi = ball if c + width > ball else math.floor(c + width)
+        if lo == hi == 0 and d < n - 1:
+            # a_d = 0 is the one value: lower gains q_d (0 - c)^2, which
+            # is q_d c^2 bit for bit, partial and |prefix|^2 nothing
+            a[d] = top[d] = 0
+            lower[d + 1] = lower[d] + q[d] * c * c
+            partial[d + 1], sq[d + 1] = partial[d], sq[d]
+            d += 1
+            continue
+        s = 0.0
+        for j in nonzero:
+            s += a[j] * g[j][d]
         if d < n - 1:
             a[d], top[d], cross[d], centre[d] = lo - 1, hi, s, c
         else:
@@ -144,9 +160,10 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float) -> tuple[list[int] | Non
     cut = best_f + _SLACK * abs(best_f)
     leaves = [(f, point) for f, point in near if f <= cut]
     if len(leaves) < 2:
-        return (leaves[0][1] if leaves else None), evaluated
+        return (leaves[0][1] if leaves else None), None, evaluated
     f_g = [f if _is_unit(point) else quad_objective(g_arr, point) for f, point in leaves]
-    return leaves[f_g.index(min(f_g))][1], evaluated
+    i = f_g.index(min(f_g))
+    return leaves[i][1], f_g[i], evaluated
 
 
 def _unit_vector_search(g_arr: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -183,7 +200,8 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     vectors in the ellipsoid, without a Cholesky factor or a search.
     A unit vector winner e_j, from that pass or from the search, is
     reported through _unit_result with f_star = G_jj, the same bits as
-    quad_objective.  Raises
+    quad_objective; any other winner with the value its ranking scored
+    on G, and only a point that was never ranked is scored here.  Raises
     ResourceBudgetError when the ball's estimated point count, an
     upper bound on that work, exceeds budget, and ValueError if budget
     is below 1.
@@ -204,10 +222,12 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     if radius * radius < 2.0 - 1e-8:
         e_j, g_jj, evaluated = _unit_vector_search(g_arr)
         return _unit_result(e_j, g_jj, t0, evaluated, 0)
-    point, evaluated = _ellipsoid_search(g_arr, radius)
+    point, f, evaluated = _ellipsoid_search(g_arr, radius)
     if point is None:
         raise AssertionError("radius >= 1 guarantees at least one candidate")
     if _is_unit(point):
         j = point.index(1)
         return _unit_result(np.array(point), float(g_arr[j, j]), t0, evaluated, 0)
-    return _solver_result(g_arr, np.array(point), None, t0, evaluated, 0)
+    if f is None:
+        f = quad_objective(g_arr, point)
+    return _solver_result(np.array(point), f, None, t0, evaluated, 0)

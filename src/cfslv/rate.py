@@ -47,5 +47,12 @@ def rate_from_objective(f_value: float, h, power: float) -> float:
     f_value = float(f_value)
     if not (math.isfinite(f_value) and f_value > 0.0):
         raise ValueError("objective value must be finite and positive")
-    scale = _single_scale(h.entries, power)
+    return _rate_bits(_single_scale(h.entries, power), f_value)
+
+
+def _rate_bits(scale: float, f_value: float) -> float:
+    """1/2 log2+ (scale / f) for scale = 1 + P|h|^2 from _single_scale
+    and a finite positive f: rate_from_objective's value, for a caller
+    that holds both already (a solve_single result carries a valid
+    f_star)."""
     return max(0.0, 0.5 * math.log2(scale / f_value))

@@ -231,9 +231,9 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     best_f.  An exact tie goes to the copy whose vertex comes first
     lexicographically on the 1e-9 grid, then to its first cell in
     candidate order: by pattern number at a generic vertex, in
-    _vertex_cells' order at a degenerate one.  Returns (a, its vertex,
-    candidates scored, vertices) as _rank_one_search does; the counts
-    include the zero and unit cells.
+    _vertex_cells' order at a degenerate one.  Returns (a, the value of
+    its canonical-sign key, its vertex, candidates scored, vertices) as
+    _rank_one_search does; the counts include the zero and unit cells.
     """
     verts = _vertex_labels(dec, cmax)
     # C(#vertices, k+1) no longer measures the work (the candidate
@@ -273,7 +273,7 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     m = int(np.argmin(f)) if f.size else 0
     # G's values differ from these by rounding, far below the margin
     if not f.size or f[m] > best_f + _TIE_RTOL * norm2[m]:
-        return None, None, scored, verts.count
+        return None, None, None, scored, verts.count
     near = np.flatnonzero(f <= f[m] + _TIE_RTOL * norm2[m])
     split = int(np.searchsorted(near, first_degenerate))
     flat = near[:split] >> k
@@ -291,12 +291,12 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     f_g = {a: quad_objective(g_arr, a) for a in dict.fromkeys(keys)}
     f_min = min(f_g.values())
     if not f_min < best_f:
-        return None, None, scored, verts.count
+        return None, None, None, scored, verts.count
     # an exact tie goes to the copy whose vertex comes first on the 1e-9
     # grid, then to the earlier cell (the sort is stable)
     tied = np.flatnonzero([f_g[a] == f_min for a in keys])
     j = int(tied[_grid_order(xs[tied])[0]])
-    return cand[j], xs[j], scored, verts.count
+    return cand[j], f_min, xs[j], scored, verts.count
 
 
 def solve_dpk(g, dec: DpkDecomposition | None, *,
@@ -349,11 +349,11 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
             dec.k == 1 or _vertex_checks_pass(dec.n, dec.k, cmax, budget)):
         return _unit_result(best_a, best_f, t0, g.n, 0)
     if dec.k >= 2:
-        a, x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
+        a, f, x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
     else:
         v = dec.v[:, 0]
-        a, x, scored, vertex_count = _rank_one_search(
+        a, f, x, scored, vertex_count = _rank_one_search(
             g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
     if a is None:
         return _unit_result(best_a, best_f, t0, g.n + scored, vertex_count)
-    return _solver_result(g_arr, a, x, t0, g.n + scored, vertex_count)
+    return _solver_result(a, f, x, t0, g.n + scored, vertex_count)

@@ -30,12 +30,13 @@ from .core import (
     _unit_result,
 )
 from .errors import ResourceBudgetError
-from .gram import _check_power, _radius_eigenvalue, _single_scale, build_gram_single
+from .gram import _check_power, _gram_single, _radius_eigenvalue, _single_scale
 
 DEFAULT_BREAKPOINT_BUDGET = 10_000_000
 _TIE_RTOL = 1e-9
-# (a winner or None, its witness or None, candidates scored, breakpoint_count)
-_Found = tuple[np.ndarray | None, np.ndarray | None, int, int]
+# (a winner or None, its value on G or None, its witness or None,
+#  candidates scored, breakpoint_count)
+_Found = tuple[np.ndarray | None, float | None, np.ndarray | None, int, int]
 
 
 def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int, budget: int | None) -> int:
@@ -88,8 +89,8 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     strictly below best_f.  Two steps only save time: the first
     interval, which holds a unit vector, is not scored, and nothing is
     scored on G when the minimum lies more than that margin above
-    best_f.  Returns (a or None, interval midpoint or None, open
-    intervals, crossings).
+    best_f.  Returns (a or None, quad_objective(G, a) or None, interval
+    midpoint or None, open intervals, crossings).
     """
     half = np.arange(0.5, cmax + 1.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -107,7 +108,7 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     # the first interval holds one unit vector, no better than best_f
     scored = opened[1:] if opened.size and opened[0] == 0 else opened
     if not scored.size:
-        return None, None, *counts
+        return None, None, None, *counts
     norm2 = (d[:, None] * (2.0 * half)).ravel()[order].cumsum()
     dot = np.abs(v)[coord].cumsum()
     f = (norm2 - dot * dot)[scored]
@@ -115,16 +116,16 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     tol = _TIE_RTOL * norm2[scored[m]]
     # G's values differ from these by rounding, far below tol
     if f[m] > best_f + tol:
-        return None, None, *counts
+        return None, None, None, *counts
     near = scored[f <= f[m] + tol]
     sign = np.sign(v).astype(np.int64)
     cand = [np.bincount(coord[: i + 1], minlength=d.size) * sign for i in near]
     f_g = [quad_objective(g_arr, a) for a in cand]
     j = f_g.index(min(f_g))
     if not f_g[j] < best_f:
-        return None, None, *counts
+        return None, None, None, *counts
     i = int(near[j])
-    return cand[j], np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), *counts
+    return cand[j], f_g[j], np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), *counts
 
 
 def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> SolverResult:
@@ -143,10 +144,13 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     return _solve_single(h, power, budget=budget)[0]
 
 
-def _solve_single(h, power: float, *,
-                  budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> tuple[SolverResult, GramMatrix]:
-    """solve_single's result and the G it searched, so a caller that
-    needs G too (an oracle, a printed psi) does not build it again.
+def _solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET
+                  ) -> tuple[SolverResult, GramMatrix, float]:
+    """solve_single's result, the G it searched and scale = 1 + P|h|^2,
+    so a caller that needs G (an oracle, a printed psi) or the rate
+    (rate._rate_bits) forms neither again.  scale comes from one
+    _single_scale call, which reports an overflowing 1 + P|h|^2 as such,
+    and G from it through _gram_single, with build_gram_single's bits.
     elapsed_seconds includes G's build."""
     t0 = time.perf_counter()
     _check_budget(budget)
@@ -154,18 +158,17 @@ def _solve_single(h, power: float, *,
     power = _check_power(power)
     hv = h.entries
     n = h.n
-    # before G's build, so an overflowing 1 + P|h|^2 reports as such
     scale = _single_scale(hv, power)
-    gram = build_gram_single(h, power)
+    gram = _gram_single(hv, power, scale)
     g_arr = gram.entries
 
     best_f, best_a = _best_unit_vector(g_arr)
     lam_min = _radius_eigenvalue(gram)
     cmax = _norm_ceiling(best_f, lam_min, n, 1, budget)
     if _unit_vector_wins(best_f, lam_min):
-        return _unit_result(best_a, best_f, t0, n, 0), gram
-    a, x, scored, crossings = _rank_one_search(
+        return _unit_result(best_a, best_f, t0, n, 0), gram, scale
+    a, f, x, scored, crossings = _rank_one_search(
         g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)
     if a is None:
-        return _unit_result(best_a, best_f, t0, n + scored, crossings), gram
-    return _solver_result(g_arr, a, x, t0, n + scored, crossings), gram
+        return _unit_result(best_a, best_f, t0, n + scored, crossings), gram, scale
+    return _solver_result(a, f, x, t0, n + scored, crossings), gram, scale

@@ -1,5 +1,6 @@
 """Benchmark campaign determinism, serialization, and summary bounds."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -201,19 +202,19 @@ def test_run_trial_without_oracle_leaves_optional_fields_empty():
     assert rec.elapsed_oracle_s == 0.0
 
 
-def _count_single_gram_builds(monkeypatch) -> list:
-    """Patch build_gram_single in every cfslv module that holds it with a
-    wrapper that notes each call; returns the list of notes."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """Patch cfslv.gram's function name in every cfslv module that holds
+    it with a wrapper that notes each call; returns the list of notes."""
     calls = []
-    real = cfslv.gram.build_gram_single
+    real = getattr(cfslv.gram, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cfslv" and getattr(module, "build_gram_single", None) is real:
-            monkeypatch.setattr(module, "build_gram_single", counting)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "cfslv" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -222,19 +223,24 @@ def test_single_trial_builds_one_gram(monkeypatch, oracle):
     cfg = BenchConfig(mode="single", trials=1, n_range=(2, 5),
                       power_range=(0.5, 5.0), seed=13, oracle=oracle)
     expected, expected_cand = run_trial(cfg, 3)
-    calls = _count_single_gram_builds(monkeypatch)
+    # every single-antenna G comes from _gram_single, build_gram_single's too
+    calls = _count_calls(monkeypatch, "_gram_single")
+    scales = _count_calls(monkeypatch, "_single_scale")
     rec, cand = run_trial(cfg, 3)
+    # one G, and one 1 + P|h|^2 for G and the rate together
     assert len(calls) == 1
+    assert len(scales) == 1
     assert cand == expected_cand
     assert dataclasses.replace(rec, elapsed_alg_s=0.0, elapsed_oracle_s=0.0) == \
         dataclasses.replace(expected, elapsed_alg_s=0.0, elapsed_oracle_s=0.0)
 
 
 def test_cli_solve_builds_one_gram(monkeypatch, capsys):
-    calls = _count_single_gram_builds(monkeypatch)
+    calls = _count_calls(monkeypatch, "_gram_single")
+    scales = _count_calls(monkeypatch, "_single_scale")
     assert cli_main(["solve", "--h", "1.2,-0.7,0.3", "--power", "4"]) == 0
     assert "psi " in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(calls) == len(scales) == 1
 
 
 def _public_record(config: BenchConfig, trial_id: int):
@@ -342,7 +348,8 @@ def test_run_bench_starts_at_most_one_worker_per_trial(monkeypatch, threads, tri
             return map(fn, iterable)
 
     monkeypatch.setenv("CFSLV_THREADS", str(threads))
-    monkeypatch.setattr(cfslv.bench, "ProcessPoolExecutor", RecordingPool)
+    # run_bench imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     result = run_bench(dataclasses.replace(SINGLE_CFG, trials=trials))
     # a single trial runs in this process, with no pool at all
     assert sizes == ([] if started is None else [started])

@@ -269,10 +269,10 @@ def _oracle(gram, radius):
 # winner (the first smallest G_jj for the solvers, the last for the
 # oracle) and whether the path searched (for the oracle, radius^2 >= 2)
 UNIT_WINNER_PATHS = {
-    "solve_single skip": (lambda: _solve_single([1.0, 0.5], 0.1), 0, False),
-    "solve_single found nothing": (lambda: _solve_single([2.0, 1.0, 0.5], 1.0), 0, True),
+    "solve_single skip": (lambda: _solve_single([1.0, 0.5], 0.1)[:2], 0, False),
+    "solve_single found nothing": (lambda: _solve_single([2.0, 1.0, 0.5], 1.0)[:2], 0, True),
     # (1, 0, -1, 0, 0) ties e_0 at f = 7 exactly; the unit vector stays
-    "solve_single exact tie": (lambda: _solve_single([3.0, -1.0, -2.0, 1.0, 0.0], 1.0), 0, True),
+    "solve_single exact tie": (lambda: _solve_single([3.0, -1.0, -2.0, 1.0, 0.0], 1.0)[:2], 0, True),
     "solve_dpk skip k=1": (lambda: _dpk([[1.0], [0.5]], 0.1), 0, False),
     "solve_dpk skip k=2": (lambda: _dpk([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 0.1), 2, False),
     "solve_dpk dec=None": (_diagonal_dpk, 1, False),
@@ -292,7 +292,8 @@ def test_unit_winner_matches_solver_result(path):
     res, gram = run()
     e_j = np.zeros(gram.n, dtype=np.int64)
     e_j[j] = 1
-    ref = _solver_result(gram.entries, e_j, None, 0.0, res.candidates_evaluated, res.breakpoint_count)
+    ref = _solver_result(e_j, quad_objective(gram.entries, e_j), None, 0.0,
+                         res.candidates_evaluated, res.breakpoint_count)
     assert res.a_star.entries.tolist() == ref.a_star.entries.tolist() == e_j.tolist()
     assert res.a_star.entries.dtype == np.int64 and not res.a_star.entries.flags.writeable
     assert res.f_star.hex() == ref.f_star.hex() == float(gram.entries[j, j]).hex()

@@ -9,8 +9,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
+from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single, dpk_from_single
 from cfslv.oracle import brute_force_slv, certification_radius
 from cfslv.solver_dpk import solve_dpk
 from cfslv.solver_single import solve_single
@@ -81,3 +82,52 @@ def test_golden_a_star():
 
 def test_golden_oracle():
     assert not _mismatches(_oracle, ORACLE_TIES, "f_oracle")
+
+
+def _campaign():
+    """(h, power) draws near the benchmark workloads': single-antenna n
+    2-6 with P in [0.1, 10], and k = 1 (n 2-6) and k = 2 (n 2-3) MIMO
+    channels with P in [0.1, 5], where more searches find a winner;
+    Gaussian gains, P log-uniform."""
+    rng = np.random.default_rng(2121)
+    for _ in range(150):
+        yield rng.standard_normal(int(rng.integers(2, 7))), float(np.exp(rng.uniform(-2.3, 2.3)))
+    for k, n_hi in (1, 6), (2, 3):
+        for _ in range(150):
+            h = rng.standard_normal((int(rng.integers(k + 1, n_hi + 1)), k))
+            yield h, float(np.exp(rng.uniform(-2.3, 1.6)))
+
+
+def _golden():
+    for row in GOLDEN:
+        yield np.array(_floats(row["h"])), float.fromhex(row["power"])
+
+
+def _results(h, power):
+    """Every solver's and the oracle's result on the draw, with its G."""
+    if h.ndim == 1:
+        gram = build_gram_single(h, power)
+        res = solve_single(h, power)
+        yield "solve_single", res, gram
+        yield "solve_dpk", solve_dpk(gram, dpk_from_single(h, power), budget=None), gram
+    else:
+        gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=power))
+        res = solve_dpk(gram, dec, budget=None)
+        yield "solve_dpk", res, gram
+    yield "oracle", brute_force_slv(gram, certification_radius(gram, res.f_star)), gram
+
+
+@pytest.mark.parametrize("draws", [_campaign, _golden], ids=["campaign", "golden"])
+def test_search_winners_report_their_value_on_g(draws):
+    # f_star is the value the search scored its winner with on G, in
+    # the winner's sign; it must be a_star^T G a_star bit for bit
+    winners = dict.fromkeys(["solve_single", "solve_dpk", "oracle"], 0)
+    for h, power in draws():
+        for name, res, gram in _results(h, power):
+            a = res.a_star.entries
+            if np.count_nonzero(a) < 2 and abs(a).max() == 1:
+                continue  # a unit vector winner, reported as G_jj
+            winners[name] += 1
+            v = a.astype(float)
+            assert res.f_star.hex() == float(v @ gram.entries @ v).hex(), (name, h, power)
+    assert all(count > 0 for count in winners.values()), winners

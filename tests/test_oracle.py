@@ -103,7 +103,7 @@ def test_unit_ball_matches_naive_enumeration(box_minimum, gram_factory):
         naive_f, naive_a = box_minimum(g.entries, 1, radius=radius)
         assert res.f_star == naive_f
         assert np.abs(res.a_star.entries).tolist() == np.abs(naive_a).tolist()
-        assert res.candidates_evaluated == _ellipsoid_search(g.entries, radius)[1]
+        assert res.candidates_evaluated == _ellipsoid_search(g.entries, radius)[2]
 
 
 @pytest.mark.parametrize("g", [np.eye(4), np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 3.0]])],
@@ -112,7 +112,7 @@ def test_unit_ball_tie_goes_to_the_last_unit_vector(g):
     # the search enumerates e_n first, ..., e_1 last, and keeps the first
     # on a tie; the ball below radius^2 = 2 gives the same vector and count
     ball = brute_force_slv(GramMatrix(g), np.sqrt(2.0 - 2e-8))
-    searched, count = _ellipsoid_search(g, np.sqrt(2.0 - 2e-8))
+    searched, _, count = _ellipsoid_search(g, np.sqrt(2.0 - 2e-8))
     j = 1 if g.shape[0] == 3 else 3
     assert ball.a_star.entries.tolist() == searched == np.eye(g.shape[0], dtype=int)[j].tolist()
     assert ball.f_star == g[j, j]

@@ -369,7 +369,7 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
     verts = _vertex_labels(dec, cmax)
     best_f, best_a = _best_unit_vector(gram.entries)
     # the search itself, which solve_dpk skips when psi^2 < 2
-    a, x, _, count = _vertex_search(gram.entries, dec, cmax, None, best_f)
+    a, _, x, _, count = _vertex_search(gram.entries, dec, cmax, None, best_f)
     assert count == verts.count
     if name != "zero-row":
         assert verts.merged.size > 0
@@ -615,8 +615,8 @@ def test_unit_vector_bound_matches_the_sweep(h, scale):
     skipped = best_f < 2.0 * gram.min_eigenvalue * (1.0 - 1e-9)
     assert skipped == (scale == 1.0 - 1e-6)
     v = dec.v[:, 0]
-    a, x, _, _ = _rank_one_search(gram.entries, np.abs(v) / dec.d, dec.d, v,
-                                  cmax_of(gram, dec), best_f)
+    a, _, x, _, _ = _rank_one_search(gram.entries, np.abs(v) / dec.d, dec.d, v,
+                                     cmax_of(gram, dec), best_f)
     if a is None:
         a = np.eye(h.size, dtype=np.int64)[int(np.argmin(np.diag(gram.entries)))]
     expected = quadratic_form(gram, a)
@@ -652,8 +652,8 @@ def test_rank_k_unit_vector_bound_matches_the_vertex_search(v, scale):
     assert skipped == (scale == 1.0 - 1e-6)
     for budget in None, cfslv.solver_dpk.DEFAULT_COMBINATION_BUDGET:
         try:
-            a, x, scored, count = _vertex_search(gram.entries, dec, cmax_of(gram, dec),
-                                                 budget, best_f)
+            a, _, x, scored, count = _vertex_search(gram.entries, dec, cmax_of(gram, dec),
+                                                    budget, best_f)
         except ResourceBudgetError:
             # the k = 3 vertex groups exceed the default budget
             assert dec.k == 3 and budget is not None
