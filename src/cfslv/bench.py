@@ -20,7 +20,7 @@ import numpy as np
 from .core import ChannelVector, _check_budget
 from .gram import MimoChannel, build_gram_mimo
 from .oracle import brute_force_slv, certification_radius
-from .rate import _rate_bits
+from .rate import _mimo_rate_bits, _rate_bits
 from .solver_dpk import solve_dpk
 from .solver_single import _solve_single
 
@@ -154,7 +154,7 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
         channel = MimoChannel(h_matrix=h_matrix, power=power)
         gram, dec = build_gram_mimo(channel)
         res = solve_dpk(gram, dec, **kwargs)
-        rate = max(0.0, -0.5 * math.log2(res.f_star))
+        rate = _mimo_rate_bits(res.f_star)
 
     f_oracle = None
     match = None

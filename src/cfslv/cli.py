@@ -13,7 +13,6 @@ input error, 3 resource budget exceeded.  Results print as one
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -32,7 +31,7 @@ from .core import CoefficientVector, GramMatrix, SolverResult
 from .errors import ResourceBudgetError
 from .gram import MimoChannel, build_gram_mimo, search_radius_psi
 from .oracle import brute_force_slv
-from .rate import _rate_bits, computation_rate
+from .rate import _mimo_rate_bits, _rate_bits, computation_rate
 from .solver_dpk import solve_dpk
 from .solver_single import _solve_single
 
@@ -131,7 +130,7 @@ def cmd_mimo(args: argparse.Namespace) -> int:
         ("power", float(args.power)),
         ("f_star", res.f_star),
         ("a_star", _int_csv(res.a_star.entries)),
-        ("rate_bits", max(0.0, -0.5 * math.log2(res.f_star))),
+        ("rate_bits", _mimo_rate_bits(res.f_star)),
         ("vertex_count", res.breakpoint_count),
         ("candidates_evaluated", res.candidates_evaluated),
         _elapsed(args, res),

@@ -186,15 +186,15 @@ class SolverResult:
 
     f_star is quad_objective(G, a_star), so it is reproducible
     independent of any incremental arithmetic used during the search:
-    the value the search scored its winner with on G (the same bits in
-    either sign), and for a unit vector winner e_j G_jj read from the
-    diagonal, which is that value bit for bit.  Every solver picks a_star by
-    quad_objective on G, the function f_star comes from: the lowest
-    candidate wins if it is strictly below the best unit vector, and an
-    exact tie between candidates goes to the smallest x for k = 1 and to
-    the first vertex on the 1e-9 grid for k >= 2.  witness_point is a
-    point x of a_star's closed cell (None when a unit vector won): for
-    solve_single an interval midpoint with round(x h) = a_star; for solve_dpk
+    the value the winner scored on G when it was picked (the same bits
+    in either sign), G_jj for a unit vector e_j; _solver_result builds
+    every result.  Both solvers pick a_star by
+    solver_single._lowest_on_g's rule: a candidate wins only if it is
+    strictly lower on G than the best unit vector, and an exact tie
+    between candidates goes to the smallest x for k = 1 and to the first
+    vertex on the 1e-9 grid for k >= 2.  witness_point is a point x of
+    a_star's closed cell (None when a unit vector won): for solve_single
+    an interval midpoint with round(x h) = a_star; for solve_dpk
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
     for k = 1 and the vertex of that tie rule for k >= 2.  When psi^2 =
     min_j G_jj / lambda_min is below 2 (1 - 1e-9), only unit vectors can
@@ -263,7 +263,7 @@ def canonical_sign(a) -> CoefficientVector:
     the negation of a valid vector is valid.
     """
     a = as_coefficient_vector(a)
-    first = a.entries[a.entries.nonzero()[0][0]]
+    first = next(filter(None, a.entries.tolist()))
     return a if first > 0 else _unchecked(CoefficientVector, entries=_freeze(-a.entries))
 
 
@@ -279,33 +279,14 @@ def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
     return float(diag[j]), a
 
 
-def _unit_result(e_j: np.ndarray, g_jj: float, t0: float,
-                 candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
-    """The SolverResult of a unit vector winner e_j, with no witness.
-
-    e_j is canonical already, and quad_objective(G, e_j) is G_jj bit for
-    bit (every other term is +-0), so f_star is the g_jj the caller read
-    from G's diagonal: the same result as _solver_result's without its
-    sign pass or matrix products.  a_star is still a CoefficientVector
-    checked at construction.
-    """
-    return SolverResult(
-        a_star=CoefficientVector(e_j),
-        f_star=g_jj,
-        candidates_evaluated=candidates_evaluated,
-        breakpoint_count=breakpoint_count,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
-
-
 def _solver_result(best_a: np.ndarray, f_star: float, witness: np.ndarray | None,
                    t0: float, candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
-    """The SolverResult of a search winner best_a: best_a in canonical
-    sign, the witness negated with it, elapsed time since t0, and f_star
-    the value quad_objective gave best_a on G when the search picked it,
-    which is that of a_star too: negating a vector negates v G and v
-    exactly, so v G v keeps its bits.  A unit vector winner goes to
-    _unit_result."""
+    """The SolverResult of every winner best_a, a unit vector or a
+    search's pick (_lowest_on_g's rule): best_a in canonical sign, the
+    witness negated with it, elapsed time since t0, and f_star the value
+    best_a scored on G when picked, which is that of a_star too: negating
+    a vector negates v G and v exactly.  For e_j that value is G_jj, read
+    from the diagonal, quad_objective(G, e_j) bit for bit."""
     a = CoefficientVector(best_a)
     a_star = canonical_sign(a)
     if witness is not None and a_star is not a:

@@ -23,7 +23,6 @@ from .core import (
     quad_objective,
     _check_budget,
     _solver_result,
-    _unit_result,
 )
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue
@@ -66,7 +65,7 @@ def _is_unit(point: list[int]) -> bool:
 
 
 def _ellipsoid_search(g_arr: np.ndarray,
-                      radius: float) -> tuple[list[int] | None, float | None, int]:
+                      radius: float) -> tuple[list[int], float, int]:
     """Minimiser over ball and ellipsoid, its value on G, and the number
     of points scored.
 
@@ -76,9 +75,10 @@ def _ellipsoid_search(g_arr: np.ndarray,
     is passed without the cross term (G a)_d.  The points within 1e-9 of
     the lowest such score are ranked again with quad_objective, except
     the unit vectors, whose score is already G_jj bit for bit; the first
-    in enumeration order wins an exact tie.  The value is the winner's
-    from that ranking, or None when it was the only point near the
-    lowest and was never scored on G.
+    in enumeration order wins an exact tie.  That is the solvers' rule
+    (solver_single._lowest_on_g) without an incumbent, written out here
+    so the oracle stays independent of them.  The value is the winner's
+    from that ranking.
     """
     n = g_arr.shape[0]
     g = g_arr.tolist()
@@ -159,8 +159,6 @@ def _ellipsoid_search(g_arr: np.ndarray,
     # enumeration order wins an exact tie
     cut = best_f + _SLACK * abs(best_f)
     leaves = [(f, point) for f, point in near if f <= cut]
-    if len(leaves) < 2:
-        return (leaves[0][1] if leaves else None), None, evaluated
     f_g = [f if _is_unit(point) else quad_objective(g_arr, point) for f, point in leaves]
     i = f_g.index(min(f_g))
     return leaves[i][1], f_g[i], evaluated
@@ -198,10 +196,9 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     When radius^2 < 2 - 1e-8 the ball holds only unit vectors:
     _unit_vector_search returns the same vector, and counts the unit
     vectors in the ellipsoid, without a Cholesky factor or a search.
-    A unit vector winner e_j, from that pass or from the search, is
-    reported through _unit_result with f_star = G_jj, the same bits as
-    quad_objective; any other winner with the value its ranking scored
-    on G, and only a point that was never ranked is scored here.  Raises
+    Either way the winner is reported through _solver_result with the
+    value it was ranked by: G_jj for a unit vector e_j, the same bits as
+    quad_objective, and quad_objective's value for any other.  Raises
     ResourceBudgetError when the ball's estimated point count, an
     upper bound on that work, exceeds budget, and ValueError if budget
     is below 1.
@@ -220,14 +217,7 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
         )
     g_arr = g.entries
     if radius * radius < 2.0 - 1e-8:
-        e_j, g_jj, evaluated = _unit_vector_search(g_arr)
-        return _unit_result(e_j, g_jj, t0, evaluated, 0)
-    point, f, evaluated = _ellipsoid_search(g_arr, radius)
-    if point is None:
-        raise AssertionError("radius >= 1 guarantees at least one candidate")
-    if _is_unit(point):
-        j = point.index(1)
-        return _unit_result(np.array(point), float(g_arr[j, j]), t0, evaluated, 0)
-    if f is None:
-        f = quad_objective(g_arr, point)
-    return _solver_result(np.array(point), f, None, t0, evaluated, 0)
+        point, f, evaluated = _unit_vector_search(g_arr)
+    else:
+        point, f, evaluated = _ellipsoid_search(g_arr, radius)
+    return _solver_result(np.asarray(point), f, None, t0, evaluated, 0)

@@ -56,3 +56,9 @@ def _rate_bits(scale: float, f_value: float) -> float:
     that holds both already (a solve_single result carries a valid
     f_star)."""
     return max(0.0, 0.5 * math.log2(scale / f_value))
+
+
+def _mimo_rate_bits(f_value: float) -> float:
+    """1/2 log2+ (1 / f) for f = a^T G a of build_gram_mimo's G, whose
+    scale is 1, as -1/2 log2 f: _rate_bits(1.0, f) would round 1 / f."""
+    return max(0.0, -0.5 * math.log2(f_value))

@@ -36,22 +36,20 @@ from .core import (
     DpkDecomposition,
     SolverResult,
     as_gram_matrix,
-    quad_objective,
     _best_unit_vector,
     _check_budget,
     _freeze,
     _solver_result,
-    _unit_result,
 )
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue, validate_dpk
 from .solver_single import (
-    _TIE_RTOL,
     _Found,
+    _lowest_on_g,
+    _near_set,
     _norm_ceiling,
     _rank_one_search,
     _unit_vector_wins,
-    _vertex_checks_pass,
 )
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
@@ -211,6 +209,20 @@ def _vertex_cells(verts: _Vertices, ratios: np.ndarray,
     return base + (up & tight[owner]), owner
 
 
+def _vertex_checks_pass(n: int, k: int, cmax: int, budget: int | None) -> bool:
+    """Whether neither budget check inside solve_dpk's rank-k vertex
+    search can fire.  Of at most B = C(n, k) (2 cmax + 2)^k vertices
+    (_norm_ceiling's bound), the vertex-group guard sees at most C(B, k
+    + 1) groups, and the cell count at most B 2^n cells, since a vertex
+    has at most n tight directions.  solve_dpk skips that search for the
+    unit vector only when both fit, so its refusals do not depend on
+    _unit_vector_wins.  This check goes when the guard is deleted."""
+    if budget is None:
+        return True
+    bound = math.comb(n, k) * (2 * cmax + 2) ** k
+    return math.comb(bound, k + 1) <= budget and bound << n <= budget
+
+
 def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
                    budget: int | None, best_f: float) -> _Found:
     """Best rounded cell at the arrangement vertices that beats best_f on
@@ -223,17 +235,15 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     degenerate vertices go through _vertex_cells.  Every candidate a is
     scored as sum d a^2 - |V^T a|^2, in O(nk), except cells with |a|_1 <=
     1: zero is no candidate, and a unit vector is never strictly below
-    best_f.  Those values differ from G's in the last bits, so nothing
-    is rescored when the lowest lies more than 1e-9 sum d a^2 (taken at
-    the minimum) above best_f; otherwise the candidates within that
-    margin of the minimum are scored with quad_objective on G,
-    once per vector up to sign; the lowest must be strictly below
-    best_f.  An exact tie goes to the copy whose vertex comes first
-    lexicographically on the 1e-9 grid, then to its first cell in
-    candidate order: by pattern number at a generic vertex, in
-    _vertex_cells' order at a degenerate one.  Returns (a, the value of
-    its canonical-sign key, its vertex, candidates scored, vertices) as
-    _rank_one_search does; the counts include the zero and unit cells.
+    best_f.  _near_set keeps the candidates within rounding of the
+    minimum.  They are sorted stably by vertex with _grid_order, so in
+    candidate order within one vertex (by pattern number at a generic
+    vertex, in _vertex_cells' order at a degenerate one), and the first
+    copy of each vector up to sign goes to _lowest_on_g, which picks by
+    the solvers' rule (see there): each vector is scored on G once, and
+    an exact tie goes to the copy whose vertex comes first on the 1e-9
+    grid.  Returns _Found: (a, its value on G, its vertex, candidates
+    scored, vertices); the counts include the zero and unit cells.
     """
     verts = _vertex_labels(dec, cmax)
     # C(#vertices, k+1) no longer measures the work (the candidate
@@ -270,11 +280,10 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
         f = np.concatenate([f, deg_f])
         norm2 = np.concatenate([norm2, deg_norm2])
     scored = (int(np.count_nonzero(verts.generic)) << k) + degenerate.shape[0]
-    m = int(np.argmin(f)) if f.size else 0
-    # G's values differ from these by rounding, far below the margin
-    if not f.size or f[m] > best_f + _TIE_RTOL * norm2[m]:
+    near = _near_set(f, norm2, best_f)
+    if near is None:
         return None, None, None, scored, verts.count
-    near = np.flatnonzero(f <= f[m] + _TIE_RTOL * norm2[m])
+    near = np.flatnonzero(near)
     split = int(np.searchsorted(near, first_degenerate))
     flat = near[:split] >> k
     cand = verts.at(base, flat)
@@ -284,19 +293,18 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
         i = near[split:] - first_degenerate
         cand = np.concatenate([cand, degenerate[i]])
         xs = np.concatenate([xs, verts.at(verts.x, verts.merged[owner[i]])])
-    # each vector is scored once on G, in canonical sign (first nonzero
-    # entry positive), since a and -a are one vector
-    cand = cand.astype(np.int64)
-    keys = [tuple(a) if next(filter(None, a)) > 0 else tuple(-v for v in a) for a in cand.tolist()]
-    f_g = {a: quad_objective(g_arr, a) for a in dict.fromkeys(keys)}
-    f_min = min(f_g.values())
-    if not f_min < best_f:
-        return None, None, None, scored, verts.count
     # an exact tie goes to the copy whose vertex comes first on the 1e-9
-    # grid, then to the earlier cell (the sort is stable)
-    tied = np.flatnonzero([f_g[a] == f_min for a in keys])
-    j = int(tied[_grid_order(xs[tied])[0]])
-    return cand[j], f_min, xs[j], scored, verts.count
+    # grid, then to the earlier cell (the sort is stable); a and -a are
+    # one vector, scored once on G through its first copy in that order
+    order = _grid_order(xs)
+    cand, xs = cand[order].astype(np.int64), xs[order]
+    keys = [tuple(a) if next(filter(None, a)) > 0 else tuple(-v for v in a) for a in cand.tolist()]
+    first = sorted({key: i for i, key in reversed(list(enumerate(keys)))}.values())
+    won = _lowest_on_g(g_arr, cand[first], best_f)
+    if won is None:
+        return None, None, None, scored, verts.count
+    j, f_star = won
+    return cand[first[j]], f_star, xs[first[j]], scored, verts.count
 
 
 def solve_dpk(g, dec: DpkDecomposition | None, *,
@@ -317,9 +325,9 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     x v / d (ties to the smallest x), and breakpoint_count counts its
     crossings; for k >= 2 the candidates are the rounded cells at each
     arrangement vertex (see _vertex_search), and breakpoint_count counts
-    the distinct vertices.  Either search
-    picks by SolverResult's rule on quad_objective: the best unit vector
-    stays unless a candidate is strictly lower.  The witness is a point x
+    the distinct vertices.  Either search picks by _lowest_on_g's rule:
+    the best unit vector stays unless a candidate is strictly lower on
+    G.  The witness is a point x
     of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2 entrywise:
     the interval midpoint for k = 1, the vertex that produced a_star for
     k >= 2.  Raises ResourceBudgetError if the vertex bound C(n, k) (2
@@ -339,7 +347,7 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         off = g_arr - np.diag(np.diag(g_arr))
         if np.any(off != 0.0):
             raise ValueError("a decomposition is required unless the Gram matrix is diagonal")
-        return _unit_result(best_a, best_f, t0, g.n, 0)
+        return _solver_result(best_a, best_f, None, t0, g.n, 0)
     built = isinstance(dec, DpkDecomposition) and dec._gram is g
     if not built and not validate_dpk(g, dec):
         raise ValueError("decomposition does not reproduce the Gram matrix")
@@ -347,7 +355,7 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     cmax = _norm_ceiling(best_f, lam_min, dec.n, dec.k, budget)
     if _unit_vector_wins(best_f, lam_min) and (
             dec.k == 1 or _vertex_checks_pass(dec.n, dec.k, cmax, budget)):
-        return _unit_result(best_a, best_f, t0, g.n, 0)
+        return _solver_result(best_a, best_f, None, t0, g.n, 0)
     if dec.k >= 2:
         a, f, x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
     else:
@@ -355,5 +363,5 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         a, f, x, scored, vertex_count = _rank_one_search(
             g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
     if a is None:
-        return _unit_result(best_a, best_f, t0, g.n + scored, vertex_count)
+        a, f = best_a, best_f
     return _solver_result(a, f, x, t0, g.n + scored, vertex_count)

@@ -27,7 +27,6 @@ from .core import (
     _best_unit_vector,
     _check_budget,
     _solver_result,
-    _unit_result,
 )
 from .errors import ResourceBudgetError
 from .gram import _check_power, _gram_single, _radius_eigenvalue, _single_scale
@@ -35,8 +34,39 @@ from .gram import _check_power, _gram_single, _radius_eigenvalue, _single_scale
 DEFAULT_BREAKPOINT_BUDGET = 10_000_000
 _TIE_RTOL = 1e-9
 # (a winner or None, its value on G or None, its witness or None,
-#  candidates scored, breakpoint_count)
+#  candidates scored, breakpoint_count); _lowest_on_g picks the winner
 _Found = tuple[np.ndarray | None, float | None, np.ndarray | None, int, int]
+
+
+def _near_set(f: np.ndarray, norm2: np.ndarray, best_f: float) -> np.ndarray | None:
+    """A mask of the rows of f within 1e-9 norm2[m] of its minimum f[m],
+    or None if f is empty or f[m] exceeds best_f by more than that
+    margin.  A search's low-rank values f (norm2 = sum d a^2) differ from
+    G's by rounding far below it, so these rows hold every candidate that
+    could be lowest on G, and None means none can beat best_f."""
+    if not f.size:
+        return None
+    m = int(f.argmin())
+    tol = _TIE_RTOL * norm2[m]
+    if f[m] > best_f + tol:
+        return None
+    return f <= f[m] + tol
+
+
+def _lowest_on_g(g_arr: np.ndarray, cand: list[np.ndarray] | np.ndarray,
+                 best_f: float) -> tuple[int, float] | None:
+    """The solvers' pick rule: (j, quad_objective(G, cand[j])) for the
+    first row j with the lowest value on G, the function f_star comes
+    from, or None unless that value is strictly below best_f, the best
+    unit vector's.  So the unit vector keeps every exact tie with a
+    candidate, and an exact tie between candidates goes to the first in
+    the order given: the smallest x in _rank_one_search, the vertex first
+    on the 1e-9 grid in _vertex_search.  The candidates are _near_set's."""
+    f_g = [quad_objective(g_arr, a) for a in cand]
+    f_min = min(f_g)
+    if not f_min < best_f:
+        return None
+    return f_g.index(f_min), f_min
 
 
 def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int, budget: int | None) -> int:
@@ -62,20 +92,6 @@ def _unit_vector_wins(best_f: float, lam_min: float) -> bool:
     return best_f < 2.0 * lam_min * (1.0 - 1e-9)
 
 
-def _vertex_checks_pass(n: int, k: int, cmax: int, budget: int | None) -> bool:
-    """Whether neither budget check inside solve_dpk's rank-k vertex
-    search can fire.  Of at most B = C(n, k) (2 cmax + 2)^k vertices
-    (_norm_ceiling's bound), the vertex-group guard sees at most C(B, k
-    + 1) groups, and the cell count at most B 2^n cells, since a vertex
-    has at most n tight directions.  solve_dpk skips that search for the
-    unit vector only when both fit, so its refusals do not depend on
-    _unit_vector_wins.  This check goes when the guard is deleted."""
-    if budget is None:
-        return True
-    bound = math.comb(n, k) * (2 * cmax + 2) ** k
-    return math.comb(bound, k + 1) <= budget and bound << n <= budget
-
-
 def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndarray,
                      cmax: int, best_f: float) -> _Found:
     """Best rounding a of x r, x > 0, that beats best_f on G = diag(d) -
@@ -83,14 +99,12 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
 
     The finite crossings (c + 1/2) / r_j, c = 0..cmax, are sorted
     stably, and prefix sums of d_j (2c + 1) and |v_j| give f = sum d a^2
-    - (v.a)^2 on each open interval.  Those within 1e-9 sum d a^2 of
-    the minimum are scored on G with quad_objective, the function f_star
-    comes from: the lowest wins, the earliest on an exact tie, if
-    strictly below best_f.  Two steps only save time: the first
-    interval, which holds a unit vector, is not scored, and nothing is
-    scored on G when the minimum lies more than that margin above
-    best_f.  Returns (a or None, quad_objective(G, a) or None, interval
-    midpoint or None, open intervals, crossings).
+    - (v.a)^2 on each open interval.  _near_set keeps the intervals
+    within rounding of the minimum, and _lowest_on_g picks among them
+    in order of x (see there for the rule).  The first interval, which
+    holds a unit vector, is not scored, since no unit vector is
+    strictly below best_f.  Returns _Found: (a or None, quad_objective(G,
+    a) or None, interval midpoint or None, open intervals, crossings).
     """
     half = np.arange(0.5, cmax + 1.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -111,21 +125,18 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
         return None, None, None, *counts
     norm2 = (d[:, None] * (2.0 * half)).ravel()[order].cumsum()
     dot = np.abs(v)[coord].cumsum()
-    f = (norm2 - dot * dot)[scored]
-    m = int(f.argmin())
-    tol = _TIE_RTOL * norm2[scored[m]]
-    # G's values differ from these by rounding, far below tol
-    if f[m] > best_f + tol:
+    near = _near_set((norm2 - dot * dot)[scored], norm2[scored], best_f)
+    if near is None:
         return None, None, None, *counts
-    near = scored[f <= f[m] + tol]
+    near = scored[near]
     sign = np.sign(v).astype(np.int64)
     cand = [np.bincount(coord[: i + 1], minlength=d.size) * sign for i in near]
-    f_g = [quad_objective(g_arr, a) for a in cand]
-    j = f_g.index(min(f_g))
-    if not f_g[j] < best_f:
+    won = _lowest_on_g(g_arr, cand, best_f)
+    if won is None:
         return None, None, None, *counts
+    j, f_star = won
     i = int(near[j])
-    return cand[j], f_g[j], np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), *counts
+    return cand[j], f_star, np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), *counts
 
 
 def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> SolverResult:
@@ -133,8 +144,8 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
 
     G is build_gram_single's.  Initializes with the best signed unit
     vector, then runs _rank_one_search on x*h over c = 0..cmax, cmax
-    from _norm_ceiling: the winner must be strictly lower on G, and an
-    exact tie goes to the smallest x.  When psi^2 < 2 (1 - 1e-9)
+    from _norm_ceiling, which picks by _lowest_on_g's rule (ties to the
+    smallest x).  When psi^2 < 2 (1 - 1e-9)
     (_unit_vector_wins) the unit vector is optimal and the sweep is
     skipped: candidates_evaluated = n, breakpoint_count = 0.  Raises ResourceBudgetError if the
     vertex bound n (2 cmax + 2) exceeds budget, and ValueError if budget
@@ -166,9 +177,9 @@ def _solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BU
     lam_min = _radius_eigenvalue(gram)
     cmax = _norm_ceiling(best_f, lam_min, n, 1, budget)
     if _unit_vector_wins(best_f, lam_min):
-        return _unit_result(best_a, best_f, t0, n, 0), gram, scale
+        return _solver_result(best_a, best_f, None, t0, n, 0), gram, scale
     a, f, x, scored, crossings = _rank_one_search(
         g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)
     if a is None:
-        return _unit_result(best_a, best_f, t0, n + scored, crossings), gram, scale
+        a, f = best_a, best_f
     return _solver_result(a, f, x, t0, n + scored, crossings), gram, scale

@@ -241,7 +241,7 @@ def _unit_value_grams():
 
 
 def test_unit_vector_value_is_the_diagonal():
-    # _unit_result reports G_jj as f_star for a unit winner e_j: every
+    # a unit winner e_j reports G_jj, read from the diagonal, as f_star: every
     # other term of e_j^T G e_j is +-0, so quad_objective gives G_jj bit for bit
     for gram in _unit_value_grams():
         g = gram.entries
@@ -286,8 +286,9 @@ UNIT_WINNER_PATHS = {
 
 @pytest.mark.parametrize("path", list(UNIT_WINNER_PATHS))
 def test_unit_winner_matches_solver_result(path):
-    # _unit_result gives what _solver_result gives for the same e_j: the
-    # same a_star, f_star bits and counts, and no witness
+    # a unit winner, reported with G_jj from the diagonal, is the result
+    # _solver_result gives e_j at quad_objective(G, e_j): the same a_star,
+    # f_star bits and counts, and no witness
     run, j, searched = UNIT_WINNER_PATHS[path]
     res, gram = run()
     e_j = np.zeros(gram.n, dtype=np.int64)

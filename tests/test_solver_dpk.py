@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import cfslv.solver_dpk
-from cfslv.core import DpkDecomposition, GramMatrix, canonical_sign, quadratic_form, _best_unit_vector
+import cfslv.solver_single
+from cfslv.core import (
+    DpkDecomposition,
+    GramMatrix,
+    canonical_sign,
+    quad_objective,
+    quadratic_form,
+    _best_unit_vector,
+)
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import (
     MimoChannel,
@@ -825,3 +833,21 @@ def test_vertex_set_keeps_subsets_the_decomposition_accepts():
         solved += 1
     assert solved >= 50
     assert 0 < skipped < solved
+
+
+def test_vertex_search_scores_each_vector_on_g_once(monkeypatch):
+    # integer rows make many vertices degenerate: the 24 cells within
+    # rounding of the minimum hold two vectors up to sign, each at
+    # several vertices, and each is scored on G once
+    scored = []
+
+    def counting(g, a):
+        scored.append(canonical_sign(np.asarray(a)).entries.tolist())
+        return quad_objective(g, a)
+
+    monkeypatch.setattr(cfslv.solver_single, "quad_objective", counting)
+    h = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]])
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=h, power=3.0))
+    res = solve_dpk(gram, dec)
+    assert sorted(scored) == [[0, 1, -1], [1, 1, 0]]
+    assert res.a_star.entries.tolist() == [0, 1, -1]

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cfslv.core import quadratic_form
+from cfslv.core import quad_objective, quadratic_form
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import build_gram_single, dpk_from_single, search_radius_psi
 from cfslv.oracle import brute_force_slv, certification_radius
-from cfslv.solver_single import solve_single
+from cfslv.solver_single import _lowest_on_g, _near_set, solve_single
 
 
 def test_solve_hand_computed():
@@ -189,6 +189,37 @@ def test_exact_interval_tie_goes_to_the_smallest_x(h, power, a_star):
     res = solve_single(h, power)
     assert res.a_star.entries.tolist() == a_star
     assert np.array_equal(np.floor(res.witness_point[0] * np.array(h) + 0.5), a_star)
+
+
+def test_near_set_keeps_a_row_exactly_at_the_margin():
+    tol = 1e-9 * 4.0
+    edge = 1.0 + tol
+    f = np.array([1.0, edge, np.nextafter(edge, np.inf), 2.0])
+    norm2 = np.array([4.0, 9.0, 9.0, 9.0])
+    assert _near_set(f, norm2, 1.0).tolist() == [True, True, False, False]
+    # the minimum may lie up to the same margin above best_f, not beyond
+    above = np.array([edge, 2.0])
+    assert _near_set(above, norm2[:2], 1.0).tolist() == [True, False]
+    above[0] = np.nextafter(edge, np.inf)
+    assert _near_set(above, norm2[:2], 1.0) is None
+    assert _near_set(np.array([]), np.array([]), 1.0) is None
+
+
+def test_lowest_on_g_needs_a_value_strictly_below_best_f():
+    g = build_gram_single([1.0, 1.0, 0.5], 2.0).entries
+    a = np.array([1, 1, 0])
+    f = quad_objective(g, a)
+    # a candidate that only ties the best unit vector loses to it
+    assert _lowest_on_g(g, [a], f) is None
+    assert _lowest_on_g(g, [a], np.nextafter(f, np.inf)) == (0, f)
+
+
+def test_lowest_on_g_gives_an_exact_tie_to_the_first_row():
+    g = np.diag([1.0, 1.0, 1.0])
+    first, second, lower = np.array([1, 1, 0]), np.array([0, -1, 1]), np.array([1, 0, 0])
+    assert _lowest_on_g(g, [first, second], 3.0) == (0, 2.0)
+    assert _lowest_on_g(g, [second, first], 3.0) == (0, 2.0)
+    assert _lowest_on_g(g, [first, second, lower], 3.0) == (2, 1.0)
 
 
 def test_sweep_overflow_keeps_the_unit_vector():
