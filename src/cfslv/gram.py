@@ -96,16 +96,15 @@ def build_gram_single(h, power: float) -> GramMatrix:
     is 1 and no eigensolve runs, unless rounding G's entries, about
     n eps (1 + P|h|^2), can reach a quarter of that eigenvalue 1: then
     G is checked as GramMatrix checks any matrix, and a rounded G that
-    is not positive definite raises ValueError.  Entries that overflow a
-    float raise ValueError, as GramMatrix's own check does.  G comes
+    is not positive definite raises ValueError.  A 1 + P|h|^2 that
+    overflows a float raises ValueError from _single_scale, with the
+    message solve_single, dpk_from_single and the rates give.  G comes
     from _gram_single, as solve_single's does.
     """
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an infinite scale gives an infinite diagonal, which GramMatrix rejects
-        return _gram_single(hv, power, 1.0 + power * float(hv.dot(hv)))
+    return _gram_single(hv, power, _single_scale(hv, power))
 
 
 def _gram_single(hv: np.ndarray, power: float, scale: float) -> GramMatrix:

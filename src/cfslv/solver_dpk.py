@@ -17,8 +17,9 @@ are merged, and their rows round down or up, one choice per direction.
 Every candidate is scored in O(nk) from the low-rank form, and the few
 near the minimum again on G with quad_objective.  For k = 1 the
 vertices are the crossings of one line, and the solver runs
-solve_single's search instead.  When psi < sqrt(2) only unit vectors
-fit, and no search runs at any k.
+solve_single's search instead.  Below psi = sqrt(3) only units and
++-e_i +-e_j fit, and no search runs at any k when no pair can beat the
+best unit vector.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .solver_single import (
     _near_set,
     _norm_ceiling,
     _rank_one_search,
-    _unit_vector_wins,
+    _unit_vector_certified,
 )
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
@@ -216,7 +217,7 @@ def _vertex_checks_pass(n: int, k: int, cmax: int, budget: int | None) -> bool:
     + 1) groups, and the cell count at most B 2^n cells, since a vertex
     has at most n tight directions.  solve_dpk skips that search for the
     unit vector only when both fit, so its refusals do not depend on
-    _unit_vector_wins.  This check goes when the guard is deleted."""
+    _unit_vector_certified.  This check goes when the guard is deleted."""
     if budget is None:
         return True
     bound = math.comb(n, k) * (2 * cmax + 2) ** k
@@ -226,9 +227,11 @@ def _vertex_checks_pass(n: int, k: int, cmax: int, budget: int | None) -> bool:
 def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
                    budget: int | None, best_f: float) -> _Found:
     """Best rounded cell at the arrangement vertices that beats best_f on
-    G, for k >= 2.  Below psi^2 = 2 (1 - 1e-9) solve_dpk calls it only
-    when one of its budget checks could fire (_vertex_checks_pass), and
-    there it refuses or finds no a.
+    G, for k >= 2.  Where the best unit vector is certified
+    (_unit_vector_certified: psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 -
+    1e-9) with every pair +-e_i +-e_j clear of it) solve_dpk calls it
+    only when one of its budget checks could fire (_vertex_checks_pass),
+    and there it refuses or finds no a.
 
     A generic vertex yields its 2^k cells straight from its label (see
     _label_grid), and every row outside the label rounds to nearest;
@@ -316,8 +319,10 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     returned, which come from the same eigenpairs and are not compared
     again; any other g, dec or mix of the two is compared.  A None
     decomposition is accepted only for diagonal g, where the best
-    unit vector is already optimal.  When psi^2 < 2 (1 - 1e-9)
-    (_unit_vector_wins) the best unit vector is optimal and nothing is
+    unit vector is already optimal.  Below psi^2 = 3 only units and +-e_i
+    +-e_j fit: when psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 - 1e-9) and no
+    pair can be strictly below the best unit vector on G
+    (_unit_vector_certified), that unit vector is optimal and nothing is
     searched (candidates_evaluated = n, breakpoint_count = 0), for k >= 2
     only when neither vertex check below could refuse the search
     (_vertex_checks_pass), so refusals do not depend on the skip.
@@ -353,7 +358,7 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         raise ValueError("decomposition does not reproduce the Gram matrix")
     lam_min = _radius_eigenvalue(g)
     cmax = _norm_ceiling(best_f, lam_min, dec.n, dec.k, budget)
-    if _unit_vector_wins(best_f, lam_min) and (
+    if _unit_vector_certified(g_arr, best_f, lam_min) and (
             dec.k == 1 or _vertex_checks_pass(dec.n, dec.k, cmax, budget)):
         return _solver_result(best_a, best_f, None, t0, g.n, 0)
     if dec.k >= 2:

@@ -8,8 +8,8 @@ that adds 2c + 1 to |a|^2 and |h_j| to |h.a|.  Sorting the crossings
 once and taking prefix sums therefore scores every rounding pattern
 within the norm bound psi = sqrt(min_j G_jj / lambda_min) in O(1)
 each; the few near the minimum are scored again on G to pick the
-winner.  Below psi = sqrt(2) only unit vectors fit, and nothing is
-swept.
+winner.  Below psi = sqrt(3) only units and +-e_i +-e_j fit, and
+nothing is swept when no pair can beat the best unit vector.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int, budget: int | N
     have |c| <= floor(psi) + 1/2 <= cmax + 1/2, and rounding that lifts
     psi just above an integer adds no ring.  Raises ResourceBudgetError
     if the vertex bound C(n, k) (2 cmax + 2)^k exceeds budget, also when
-    _unit_vector_wins then skips the search, so refusals do not depend
-    on it."""
+    _unit_vector_certified then skips the search, so refusals do not
+    depend on it."""
     cmax = max(1, math.ceil(math.sqrt(best_f / lam_min) * (1.0 - 1e-9)))
     bound = math.comb(n, k) * (2 * cmax + 2) ** k
     if budget is not None and bound > budget:
@@ -90,6 +90,33 @@ def _unit_vector_wins(best_f: float, lam_min: float) -> bool:
     2 lam_min > best_f: the best unit vector is optimal and there is
     nothing to search.  The margin absorbs lam_min's rounding."""
     return best_f < 2.0 * lam_min * (1.0 - 1e-9)
+
+
+def _unit_vector_certified(g_arr: np.ndarray, best_f: float, lam_min: float) -> bool:
+    """Whether both solvers keep the best unit vector, at best_f = min_j
+    G_jj, without a search: below psi^2 = best_f / lam_min = 3 only
+    units and +-e_i +-e_j fit.
+
+    Below psi^2 = 2 (1 - 1e-9) the unit vector wins outright
+    (_unit_vector_wins).  The only vectors with |a|^2 = 2 are +-e_i +-e_j
+    (i != j), and every other nonunit vector has |a|^2 >= 3, so f(a) >=
+    3 lam_min.  So below psi^2 = 3 (1 - 1e-9) the unit vector wins when
+    every pair value G_ii + G_jj - 2 |G_ij| <= f(+-e_i +-e_j) exceeds
+    best_f by more than 1e-9 (G_ii + G_jj): then no pair is strictly
+    lower on G, as _lowest_on_g's rule requires of a winner, since
+    |G_ij| <= (G_ii + G_jj) / 2 keeps the rounding of that sum, and of
+    quad_objective, about 1e6 times below the margin.  The O(n^2) pair
+    values are formed only in that band; the margins on psi^2 absorb
+    lam_min's rounding."""
+    if _unit_vector_wins(best_f, lam_min):
+        return True
+    if not best_f < 3.0 * lam_min * (1.0 - 1e-9):
+        return False
+    diag = g_arr.diagonal()
+    both = diag[:, None] + diag
+    clear = both - 2.0 * np.abs(g_arr) - best_f > 1e-9 * both
+    # i = j is no pair, and its entry, 0 - best_f, is never clear
+    return int(np.count_nonzero(clear)) == diag.size * (diag.size - 1)
 
 
 def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndarray,
@@ -145,12 +172,15 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
     G is build_gram_single's.  Initializes with the best signed unit
     vector, then runs _rank_one_search on x*h over c = 0..cmax, cmax
     from _norm_ceiling, which picks by _lowest_on_g's rule (ties to the
-    smallest x).  When psi^2 < 2 (1 - 1e-9)
-    (_unit_vector_wins) the unit vector is optimal and the sweep is
-    skipped: candidates_evaluated = n, breakpoint_count = 0.  Raises ResourceBudgetError if the
-    vertex bound n (2 cmax + 2) exceeds budget, and ValueError if budget
-    is below 1, if 1 + P|h|^2 overflows a float, or if the rounded G is
-    not positive definite or numerically singular.
+    smallest x).  Below psi^2 = 3 only units and +-e_i +-e_j fit: when
+    psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 - 1e-9) and no pair can be
+    strictly below the best unit vector on G (_unit_vector_certified),
+    the unit vector is optimal and the sweep is skipped:
+    candidates_evaluated = n, breakpoint_count = 0.  Raises
+    ResourceBudgetError if the vertex bound n (2 cmax + 2) exceeds
+    budget, and ValueError if budget is below 1, if 1 + P|h|^2
+    overflows a float, or if the rounded G is not positive definite or
+    numerically singular.
     """
     return _solve_single(h, power, budget=budget)[0]
 
@@ -162,7 +192,8 @@ def _solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BU
     (rate._rate_bits) forms neither again.  scale comes from one
     _single_scale call, which reports an overflowing 1 + P|h|^2 as such,
     and G from it through _gram_single, with build_gram_single's bits.
-    elapsed_seconds includes G's build."""
+    The sweep is skipped where _unit_vector_certified holds, after the
+    budget check.  elapsed_seconds includes G's build."""
     t0 = time.perf_counter()
     _check_budget(budget)
     h = as_channel_vector(h)
@@ -176,7 +207,7 @@ def _solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BU
     best_f, best_a = _best_unit_vector(g_arr)
     lam_min = _radius_eigenvalue(gram)
     cmax = _norm_ceiling(best_f, lam_min, n, 1, budget)
-    if _unit_vector_wins(best_f, lam_min):
+    if _unit_vector_certified(g_arr, best_f, lam_min):
         return _solver_result(best_a, best_f, None, t0, n, 0), gram, scale
     a, f, x, scored, crossings = _rank_one_search(
         g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)

@@ -270,14 +270,16 @@ def _oracle(gram, radius):
 # oracle) and whether the path searched (for the oracle, radius^2 >= 2)
 UNIT_WINNER_PATHS = {
     "solve_single skip": (lambda: _solve_single([1.0, 0.5], 0.1)[:2], 0, False),
-    "solve_single found nothing": (lambda: _solve_single([2.0, 1.0, 0.5], 1.0)[:2], 0, True),
+    # psi^2 = 3.5 here and 3.36 in "solve_dpk found nothing k=2": at or
+    # above 3 the search runs, and it keeps the unit vector
+    "solve_single found nothing": (lambda: _solve_single([2.0, 1.0, 0.5], 2.0)[:2], 0, True),
     # (1, 0, -1, 0, 0) ties e_0 at f = 7 exactly; the unit vector stays
     "solve_single exact tie": (lambda: _solve_single([3.0, -1.0, -2.0, 1.0, 0.0], 1.0)[:2], 0, True),
     "solve_dpk skip k=1": (lambda: _dpk([[1.0], [0.5]], 0.1), 0, False),
     "solve_dpk skip k=2": (lambda: _dpk([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 0.1), 2, False),
     "solve_dpk dec=None": (_diagonal_dpk, 1, False),
     "solve_dpk found nothing k=1": (lambda: _dpk([[3.0], [1.0]], 2.0), 0, True),
-    "solve_dpk found nothing k=2": (lambda: _dpk([[1.0, 0.5], [0.5, 1.0], [0.0, 2.0]], 1.0), 2, True),
+    "solve_dpk found nothing k=2": (lambda: _dpk([[1.0, 0.5], [0.5, 1.0], [0.0, 2.0]], 3.0), 2, True),
     "oracle unit ball": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.2), 2, False),
     "oracle unit leaf": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.5), 2, True),
     "oracle unit leaf, dense G": (lambda: _oracle(build_gram_single([2.0, 1.0, 0.5], 1.0), 2.0), 0, True),

@@ -53,7 +53,8 @@ def test_single_min_eigenvalue_is_one():
 
 
 def test_single_overflow_is_rejected():
-    with pytest.raises(ValueError, match="^Gram matrix entries must be finite$"):
+    # the message solve_single, dpk_from_single and the rates give
+    with pytest.raises(ValueError, match=r"^1 \+ P\|h\|\^2 overflows a float"):
         build_gram_single([1e200, 1.0], 1.0)
 
 

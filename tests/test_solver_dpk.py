@@ -31,6 +31,7 @@ from cfslv.solver_dpk import _vertex_cells, _vertex_labels, _vertex_search, solv
 from cfslv.solver_single import (
     _norm_ceiling,
     _rank_one_search,
+    _unit_vector_certified,
     _unit_vector_wins,
     solve_single,
 )
@@ -376,13 +377,15 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
     cmax = cmax_of(gram, dec)
     verts = _vertex_labels(dec, cmax)
     best_f, best_a = _best_unit_vector(gram.entries)
-    # the search itself, which solve_dpk skips when psi^2 < 2
+    # the search itself, which solve_dpk skips when the unit vector is certified
     a, _, x, _, count = _vertex_search(gram.entries, dec, cmax, None, best_f)
     assert count == verts.count
     if name != "zero-row":
         assert verts.merged.size > 0
-    if _unit_vector_wins(best_f, gram.min_eigenvalue):
-        assert top == 0.5
+    if _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue):
+        # psi^2 < 2 at top 0.5; these three lie in 2 <= psi^2 < 3 at top
+        # 0.95, with every pair clear of the best unit vector
+        assert top == 0.5 or name in {"antiparallel", "three-lines-one-point", "zero-row"}
         assert (res.candidates_evaluated, res.breakpoint_count) == (dec.n, 0)
         assert a is None
     else:
@@ -596,9 +599,14 @@ def test_rank_one_sweep_counts():
         dec = dpk_from_single(h, power)
         res = solve_dpk(gram, dec)
         psi = max(1.0, search_radius_psi(gram))
-        if search_radius_psi(gram) ** 2 < 2.0:
-            # only unit vectors have |a| < sqrt(2): nothing is swept
+        best_f = float(np.min(np.diag(gram.entries)))
+        if _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue):
+            # only units and pairs have |a| < sqrt(3), and no pair is below
+            # the best unit vector: nothing is swept, and the sweep finds nothing
             assert (res.breakpoint_count, res.candidates_evaluated) == (0, n)
+            v = dec.v[:, 0]
+            assert _rank_one_search(gram.entries, np.abs(v) / dec.d, dec.d, v,
+                                    cmax_of(gram, dec), best_f)[0] is None
             continue
         # breakpoint_count counts the x > 0 crossings, c = 0..cmax, on
         # each nonzero coordinate
@@ -610,18 +618,12 @@ def test_rank_one_sweep_counts():
         assert res.breakpoint_count <= math.comb(n, 1) * (2 * math.ceil(psi) + 2)
 
 
-@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 + 1e-6])
-@pytest.mark.parametrize("h", [(1.0, 0.6, -0.3), (0.5, -0.5, 0.5, 0.25), (1.0, 1.0)])
-def test_unit_vector_bound_matches_the_sweep(h, scale):
-    # psi^2 = min G_jj / lambda_min = 1 + P (|h|^2 - max h_j^2) here, so
-    # this P puts psi^2 at 2 scale: below 2 (1 - 1e-9) the solvers keep
-    # the best unit vector unswept, at or above it they sweep
-    h = np.array(h)
-    power = scale / (h @ h - np.max(h * h))
+def sweep_matches_the_solvers(h, power):
+    """Check solve_single and solve_dpk on h at power against
+    _rank_one_search run directly; returns whether they skipped it."""
     gram, dec = build_gram_single(h, power), dpk_from_single(h, power)
     best_f = float(np.min(np.diag(gram.entries)))
-    skipped = best_f < 2.0 * gram.min_eigenvalue * (1.0 - 1e-9)
-    assert skipped == (scale == 1.0 - 1e-6)
+    skipped = _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue)
     v = dec.v[:, 0]
     a, _, x, _, _ = _rank_one_search(gram.entries, np.abs(v) / dec.d, dec.d, v,
                                      cmax_of(gram, dec), best_f)
@@ -634,6 +636,38 @@ def test_unit_vector_bound_matches_the_sweep(h, scale):
         assert (res.breakpoint_count == 0) == skipped
         assert (res.candidates_evaluated == h.size) == skipped
         assert (res.witness_point is None) == (x is None)
+    return skipped
+
+
+SWEEP_H = [(1.0, 0.6, -0.3), (0.5, -0.5, 0.5, 0.25), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 + 1e-6])
+@pytest.mark.parametrize("h", SWEEP_H)
+def test_unit_vector_bound_matches_the_sweep(h, scale):
+    # psi^2 = min G_jj / lambda_min = 1 + P (|h|^2 - max h_j^2) here, so
+    # this P puts psi^2 at 1 + scale: below 2 (1 - 1e-9) the unit vector
+    # wins outright; at or above it the solvers skip the sweep when every
+    # pair is clear of the unit vector, as for all but h = (1, 1), whose
+    # pair (1, 1) scores 2, within the margin of G_00 = 1 + P or below it
+    h_arr = np.array(h)
+    power = scale / (h_arr @ h_arr - np.max(h_arr * h_arr))
+    gram = build_gram_single(h_arr, power)
+    best_f = float(np.min(np.diag(gram.entries)))
+    assert _unit_vector_wins(best_f, gram.min_eigenvalue) == (scale == 1.0 - 1e-6)
+    assert sweep_matches_the_solvers(h_arr, power) == (scale == 1.0 - 1e-6 or h != (1.0, 1.0))
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 + 1e-6])
+@pytest.mark.parametrize("h", SWEEP_H)
+def test_pair_bound_matches_the_sweep(h, scale):
+    # this P puts psi^2 at 3 scale: just below 3 (1 - 1e-9) the solvers
+    # skip the sweep when every pair is clear of the best unit vector, as
+    # for all but h = (1, 1), whose pair (1, 1) scores 2 < G_00 = 3 scale;
+    # above it they sweep
+    h_arr = np.array(h)
+    power = (3.0 * scale - 1.0) / (h_arr @ h_arr - np.max(h_arr * h_arr))
+    assert sweep_matches_the_solvers(h_arr, power) == (scale < 1.0 and h != (1.0, 1.0))
 
 
 def psi2_dec(v, psi2):
@@ -645,19 +679,12 @@ def psi2_dec(v, psi2):
     return GramMatrix(np.diag(dec.d) - v @ v.T), dec
 
 
-@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 + 1e-6])
-@pytest.mark.parametrize("v", [
-    ((1.0, 0.2), (0.3, -0.8), (-0.5, 0.6)),
-    ((0.5, -0.5), (0.5, 0.5), (1.0, 0.0), (0.0, 0.5)),
-    ((1.0, 0.2, 0.0), (0.3, -0.8, 0.4), (-0.5, 0.6, 0.1), (0.2, 0.1, -0.9)),
-])
-def test_rank_k_unit_vector_bound_matches_the_vertex_search(v, scale):
-    # below psi^2 = 2 (1 - 1e-9) solve_dpk keeps the best unit vector
-    # without the vertex search, at or above it it searches
-    gram, dec = psi2_dec(v, 2.0 * scale)
+def vertex_search_matches_solve_dpk(gram, dec):
+    """Check solve_dpk on the pair at budgets None and the default against
+    _vertex_search run directly; returns whether it may skip the search
+    (it does wherever neither vertex budget check could fire)."""
     best_f, best_a = _best_unit_vector(gram.entries)
-    skipped = _unit_vector_wins(best_f, gram.min_eigenvalue)
-    assert skipped == (scale == 1.0 - 1e-6)
+    skipped = _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue)
     for budget in None, cfslv.solver_dpk.DEFAULT_COMBINATION_BUDGET:
         try:
             a, _, x, scored, count = _vertex_search(gram.entries, dec, cmax_of(gram, dec),
@@ -677,6 +704,108 @@ def test_rank_k_unit_vector_bound_matches_the_vertex_search(v, scale):
         else:
             assert (res.candidates_evaluated, res.breakpoint_count) == (dec.n + scored, count)
         assert (res.witness_point is None) == (x is None)
+    return skipped
+
+
+PSI2_V = [
+    ((1.0, 0.2), (0.3, -0.8), (-0.5, 0.6)),
+    ((0.5, -0.5), (0.5, 0.5), (1.0, 0.0), (0.0, 0.5)),
+    ((1.0, 0.2, 0.0), (0.3, -0.8, 0.4), (-0.5, 0.6, 0.1), (0.2, 0.1, -0.9)),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 + 1e-6])
+@pytest.mark.parametrize("v", PSI2_V)
+def test_rank_k_unit_vector_bound_matches_the_vertex_search(v, scale):
+    # below psi^2 = 2 (1 - 1e-9) the best unit vector wins outright; at or
+    # above it every pair of these v is clear of it, so solve_dpk skips
+    # the vertex search there too
+    gram, dec = psi2_dec(v, 2.0 * scale)
+    best_f = _best_unit_vector(gram.entries)[0]
+    assert _unit_vector_wins(best_f, gram.min_eigenvalue) == (scale == 1.0 - 1e-6)
+    assert vertex_search_matches_solve_dpk(gram, dec)
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 + 1e-6])
+@pytest.mark.parametrize("v", PSI2_V)
+def test_rank_k_pair_bound_matches_the_vertex_search(v, scale):
+    # just below psi^2 = 3 (1 - 1e-9) every pair of these v is clear of
+    # the best unit vector, and solve_dpk skips the search; above it, it searches
+    gram, dec = psi2_dec(v, 3.0 * scale)
+    assert vertex_search_matches_solve_dpk(gram, dec) == (scale < 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("eps, clear", [(2e-9, True), (0.5e-9, False), (0.0, False)],
+                         ids=["outside", "inside", "exact-tie"])
+def test_pairs_inside_the_margin_are_searched(eps, clear, k):
+    # G = 3 I - V V^T, V's first column (1, 1 - eps, 1/2): the best unit
+    # value is G_00 = 2, and the pair e_0 + e_1 scores 2 + 4 eps - eps^2,
+    # against the margin 1e-9 (G_00 + G_11) = 4e-9 (1 + eps / 2)
+    v = np.array([[1.0, 0.0], [1.0 - eps, 0.0], [0.5, 0.5]])[:, :k]
+    dec = DpkDecomposition(d=np.full(3, 3.0), v=v)
+    gram = GramMatrix(np.diag(dec.d) - v @ v.T)
+    best_f, best_a = _best_unit_vector(gram.entries)
+    assert best_f == 2.0 and best_a.tolist() == [1, 0, 0]
+    assert 2.0 < best_f / gram.min_eigenvalue < 3.0
+    assert _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue) == clear
+    if eps == 0.0:
+        assert quad_objective(gram.entries, np.array([1, 1, 0])) == best_f
+    cmax = cmax_of(gram, dec)
+    if k == 1:
+        found = _rank_one_search(gram.entries, np.abs(v[:, 0]) / dec.d, dec.d, v[:, 0], cmax, best_f)
+    else:
+        found = _vertex_search(gram.entries, dec, cmax, None, best_f)
+    # the search keeps the unit vector in every case, the exact tie too
+    assert found[0] is None
+    res = solve_dpk(gram, dec, budget=None)
+    assert res.a_star.entries.tolist() == [1, 0, 0] and res.f_star == 2.0
+    assert res.witness_point is None
+    if clear:
+        assert (res.candidates_evaluated, res.breakpoint_count) == (3, 0)
+    else:
+        assert (res.candidates_evaluated, res.breakpoint_count) == (3 + found[3], found[4])
+
+
+def test_pair_check_certifies_the_naive_minimum(box_minimum):
+    # random positive definite G with 2 <= psi^2 < 3: whenever the pair
+    # check holds, the exhaustive minimum over |a_i| <= 2 is a unit vector
+    rng = np.random.default_rng(127)
+    certified = searched = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 5))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        gram = GramMatrix((q * np.r_[1.0, rng.uniform(1.0, 6.0, n - 1)]) @ q.T)
+        best_f = _best_unit_vector(gram.entries)[0]
+        if not 2.0 <= best_f / gram.min_eigenvalue < 3.0:
+            continue
+        if _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue):
+            _, a = box_minimum(gram.entries, 2)
+            assert sum(map(abs, a)) == 1
+            certified += 1
+        else:
+            searched += 1
+    assert certified >= 40 and searched >= 10
+
+
+@pytest.mark.parametrize("v", [((1.0, 0.2), (0.3, -0.8)), ((1.0, 0.2), (0.3, -0.8), (-0.5, 0.6))])
+def test_pair_skip_keeps_the_vertex_group_refusals(v):
+    # in the band cmax = 2, so the C(n, 2) 36 labels make C(36, 3) or
+    # C(108, 3) vertex groups, past a budget of 2000: the search still
+    # runs there and refuses, though the pair check certifies the unit vector
+    gram, dec = psi2_dec(v, 2.5)
+    best_f = _best_unit_vector(gram.entries)[0]
+    assert not _unit_vector_wins(best_f, gram.min_eigenvalue)
+    assert _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue)
+    assert cmax_of(gram, dec) == 2
+    count = _vertex_labels(dec, 2).count
+    assert count == math.comb(dec.n, 2) * 36
+    groups = math.comb(count, 3)
+    with pytest.raises(ResourceBudgetError,
+                       match=f"^{groups} vertex groups of size 3 exceed budget 2000$"):
+        solve_dpk(gram, dec, budget=2000)
+    res = solve_dpk(gram, dec, budget=None)
+    assert (res.candidates_evaluated, res.breakpoint_count) == (dec.n, 0)
 
 
 def test_rank_k_skip_keeps_the_refusals():
@@ -821,8 +950,10 @@ def test_vertex_set_keeps_subsets_the_decomposition_accepts():
         except ResourceBudgetError:
             continue
         # the one 2-row subset is W itself, which DpkDecomposition accepted;
-        # below psi^2 = 2 solve_dpk skips the vertices, so look at them directly
-        if _unit_vector_wins(_best_unit_vector(gram.entries)[0], gram.min_eigenvalue):
+        # where the unit vector is certified solve_dpk skips the vertices,
+        # so look at them directly
+        if _unit_vector_certified(gram.entries, _best_unit_vector(gram.entries)[0],
+                                  gram.min_eigenvalue):
             assert res.breakpoint_count == 0
             assert _vertex_labels(dec, cmax_of(gram, dec)).rows.tolist() == [[0, 1]]
             skipped += 1
