@@ -9,6 +9,7 @@ processes ran it.  Draw order within a trial: dimension n, then power
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .core import ChannelVector, _check_budget
+from .core import GramMatrix, SolverResult, _check_budget
 from .gram import MimoChannel, build_gram_mimo
 from .oracle import brute_force_slv, certification_radius
 from .rate import _mimo_rate_bits, _rate_bits
@@ -133,6 +134,27 @@ def match_within_tolerance(f_alg: float, f_oracle: float) -> bool:
     return abs(f_alg - f_oracle) <= MATCH_RTOL * max(1.0, f_oracle)
 
 
+def _budget_kwargs(budget: int | None) -> dict:
+    """budget= for a solver or the oracle, left out when budget is None so
+    that each keeps its own default."""
+    return {} if budget is None else {"budget": budget}
+
+
+def _solve_channel(mode: str, channel, power: float,
+                   budget: int | None) -> tuple[SolverResult, GramMatrix, float]:
+    """The solve of one channel in mode "single" (a gain vector h, by
+    _solve_single) or "mimo" (an n x k matrix H, by solve_dpk on
+    build_gram_mimo's pair): the result, the G it searched and the rate
+    in bits, _rate_bits from the solve's 1 + P|h|^2 or _mimo_rate_bits.
+    What a benchmark trial, cfslv solve and cfslv mimo each run."""
+    if mode == "single":
+        res, gram, scale = _solve_single(channel, power, **_budget_kwargs(budget))
+        return res, gram, _rate_bits(scale, res.f_star)
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=channel, power=power))
+    res = solve_dpk(gram, dec, **_budget_kwargs(budget))
+    return res, gram, _mimo_rate_bits(res.f_star)
+
+
 def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     """Run one trial; returns the record and the candidate count."""
     rng = _trial_generator(config.seed ^ trial_id)
@@ -141,27 +163,16 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     p_lo, p_hi = config.power_range
     power = float(np.exp(rng.uniform(math.log(p_lo), math.log(p_hi))))
 
-    kwargs = {} if config.budget is None else {"budget": config.budget}
-    if config.mode == "single":
-        # validated once here; every call below skips it on the isinstance
-        h = ChannelVector(rng.standard_normal(n))
-        # the one G and 1 + P|h|^2 of the trial: G searched by the solver
-        # and certified by the oracle, the scale giving the rate
-        res, gram, scale = _solve_single(h, power, **kwargs)
-        rate = _rate_bits(scale, res.f_star)
-    else:
-        h_matrix = rng.standard_normal((n, config.k))
-        channel = MimoChannel(h_matrix=h_matrix, power=power)
-        gram, dec = build_gram_mimo(channel)
-        res = solve_dpk(gram, dec, **kwargs)
-        rate = _mimo_rate_bits(res.f_star)
+    h = rng.standard_normal(n if config.mode == "single" else (n, config.k))
+    # the one G of the trial: searched by the solver, certified by the oracle
+    res, gram, rate = _solve_channel(config.mode, h, power, config.budget)
 
     f_oracle = None
     match = None
     elapsed_oracle = 0.0
     if config.oracle:
         radius = certification_radius(gram, res.f_star)
-        ores = brute_force_slv(gram, radius, **kwargs)
+        ores = brute_force_slv(gram, radius, **_budget_kwargs(config.budget))
         f_oracle = ores.f_star
         match = match_within_tolerance(res.f_star, f_oracle)
         elapsed_oracle = ores.elapsed_seconds
@@ -180,10 +191,6 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
         match=match,
     )
     return record, res.candidates_evaluated
-
-
-def _trial_task(args: tuple[BenchConfig, int]) -> tuple[TrialRecord, int]:
-    return run_trial(args[0], args[1])
 
 
 def resolve_workers() -> int:
@@ -208,16 +215,16 @@ def run_bench(config: BenchConfig) -> BenchResult:
     """
     # a fork-based pool starts all max_workers processes at the first submit
     workers = min(resolve_workers(), config.trials)
-    tasks = [(config, i) for i in range(config.trials)]
+    args = itertools.repeat(config), range(config.trials)
     if workers == 1:
-        outcomes = [_trial_task(t) for t in tasks]
+        outcomes = list(map(run_trial, *args))
     else:
         # imported here: a serial run, and import cfslv, do without it
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, config.trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=chunk))
+            outcomes = list(pool.map(run_trial, *args, chunksize=chunk))
     records = [rec for rec, _ in outcomes]
     candidates = [cand for _, cand in outcomes]
     return BenchResult(records=records, candidates=candidates, summary=summarize(records, candidates))

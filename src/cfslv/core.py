@@ -196,15 +196,9 @@ class SolverResult:
     a_star's closed cell (None when a unit vector won): for solve_single
     an interval midpoint with round(x h) = a_star; for solve_dpk
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
-    for k = 1 and the vertex of that tie rule for k >= 2.  Below psi^2 =
-    min_j G_jj / lambda_min = 3 only units and +-e_i +-e_j fit: when
-    psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 - 1e-9) and every pair value
-    G_ii + G_jj - 2 |G_ij| exceeds the best unit vector's by more than
-    1e-9 (G_ii + G_jj), only unit vectors can win (see
-    _unit_vector_certified in solver_single): solve_single and solve_dpk
-    then search nothing and report candidates_evaluated = n and
-    breakpoint_count = 0 (for k >= 2 only when no vertex budget check
-    could refuse the search; see solve_dpk).
+    for k = 1 and the vertex of that tie rule for k >= 2.  A solve that
+    searches nothing, by solver_single._skip_or_search's rule, reports
+    candidates_evaluated = n and breakpoint_count = 0.
     """
 
     a_star: CoefficientVector

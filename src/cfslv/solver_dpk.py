@@ -17,9 +17,8 @@ are merged, and their rows round down or up, one choice per direction.
 Every candidate is scored in O(nk) from the low-rank form, and the few
 near the minimum again on G with quad_objective.  For k = 1 the
 vertices are the crossings of one line, and the solver runs
-solve_single's search instead.  Below psi = sqrt(3) only units and
-+-e_i +-e_j fit, and no search runs at any k when no pair can beat the
-best unit vector.
+solve_single's search instead.  Whether either search runs at all is
+decided by solver_single._skip_or_search, which both solvers run.
 """
 
 from __future__ import annotations
@@ -43,15 +42,8 @@ from .core import (
     _solver_result,
 )
 from .errors import ResourceBudgetError
-from .gram import _radius_eigenvalue, validate_dpk
-from .solver_single import (
-    _Found,
-    _lowest_on_g,
-    _near_set,
-    _norm_ceiling,
-    _rank_one_search,
-    _unit_vector_certified,
-)
+from .gram import validate_dpk
+from .solver_single import _Found, _lowest_on_g, _near_set, _rank_one_search, _skip_or_search
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 VERTEX_DEDUP_TOL = 1e-9
@@ -210,28 +202,11 @@ def _vertex_cells(verts: _Vertices, ratios: np.ndarray,
     return base + (up & tight[owner]), owner
 
 
-def _vertex_checks_pass(n: int, k: int, cmax: int, budget: int | None) -> bool:
-    """Whether neither budget check inside solve_dpk's rank-k vertex
-    search can fire.  Of at most B = C(n, k) (2 cmax + 2)^k vertices
-    (_norm_ceiling's bound), the vertex-group guard sees at most C(B, k
-    + 1) groups, and the cell count at most B 2^n cells, since a vertex
-    has at most n tight directions.  solve_dpk skips that search for the
-    unit vector only when both fit, so its refusals do not depend on
-    _unit_vector_certified.  This check goes when the guard is deleted."""
-    if budget is None:
-        return True
-    bound = math.comb(n, k) * (2 * cmax + 2) ** k
-    return math.comb(bound, k + 1) <= budget and bound << n <= budget
-
-
 def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
                    budget: int | None, best_f: float) -> _Found:
     """Best rounded cell at the arrangement vertices that beats best_f on
-    G, for k >= 2.  Where the best unit vector is certified
-    (_unit_vector_certified: psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 -
-    1e-9) with every pair +-e_i +-e_j clear of it) solve_dpk calls it
-    only when one of its budget checks could fire (_vertex_checks_pass),
-    and there it refuses or finds no a.
+    G, for k >= 2.  Where _skip_or_search would skip it but for its
+    budget checks, it refuses or finds no a.
 
     A generic vertex yields its 2^k cells straight from its label (see
     _label_grid), and every row outside the label rounds to nearest;
@@ -319,54 +294,33 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     returned, which come from the same eigenpairs and are not compared
     again; any other g, dec or mix of the two is compared.  A None
     decomposition is accepted only for diagonal g, where the best
-    unit vector is already optimal.  Below psi^2 = 3 only units and +-e_i
-    +-e_j fit: when psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 - 1e-9) and no
-    pair can be strictly below the best unit vector on G
-    (_unit_vector_certified), that unit vector is optimal and nothing is
-    searched (candidates_evaluated = n, breakpoint_count = 0), for k >= 2
-    only when neither vertex check below could refuse the search
-    (_vertex_checks_pass), so refusals do not depend on the skip.
-    Otherwise for k = 1 solve_single's search, _rank_one_search, sweeps
-    x v / d (ties to the smallest x), and breakpoint_count counts its
+    unit vector is already optimal.  Unless _skip_or_search skips it,
+    for k = 1 solve_single's search, _rank_one_search, sweeps x v / d
+    (ties to the smallest x), and breakpoint_count counts its
     crossings; for k >= 2 the candidates are the rounded cells at each
     arrangement vertex (see _vertex_search), and breakpoint_count counts
-    the distinct vertices.  Either search picks by _lowest_on_g's rule:
-    the best unit vector stays unless a candidate is strictly lower on
-    G.  The witness is a point x
-    of a_star's closed cell, |diag(d)^-1 V x - a_star| <= 1/2 entrywise:
-    the interval midpoint for k = 1, the vertex that produced a_star for
-    k >= 2.  Raises ResourceBudgetError if the vertex bound C(n, k) (2
-    cmax + 2)^k exceeds budget, checked once before either search by
-    _norm_ceiling, and for k >= 2 if the number of vertex subsets
-    C(#vertices, k+1) or of candidates does, both counted before any
-    candidate is built; and ValueError if budget is below 1 or
-    lambda_min(G) <= 1e-12.
+    the distinct vertices.  Either search picks by _lowest_on_g's rule.
+    The witness is a point x of a_star's closed cell, |diag(d)^-1 V x -
+    a_star| <= 1/2 entrywise: the interval midpoint for k = 1, the
+    vertex that produced a_star for k >= 2.  Raises ResourceBudgetError
+    if the vertex bound C(n, k) (2 cmax + 2)^k exceeds budget, and for
+    k >= 2 if the number of vertex subsets C(#vertices, k+1) or of
+    candidates does, both counted before any candidate is built; and
+    ValueError if budget is below 1 or lambda_min(G) <= 1e-12.
     """
     t0 = time.perf_counter()
     _check_budget(budget)
     g = as_gram_matrix(g)
-    g_arr = g.entries
-
-    best_f, best_a = _best_unit_vector(g_arr)
     if dec is None:
-        off = g_arr - np.diag(np.diag(g_arr))
-        if np.any(off != 0.0):
+        g_arr = g.entries
+        if np.any(g_arr - np.diag(np.diag(g_arr)) != 0.0):
             raise ValueError("a decomposition is required unless the Gram matrix is diagonal")
+        best_f, best_a = _best_unit_vector(g_arr)
         return _solver_result(best_a, best_f, None, t0, g.n, 0)
     built = isinstance(dec, DpkDecomposition) and dec._gram is g
     if not built and not validate_dpk(g, dec):
         raise ValueError("decomposition does not reproduce the Gram matrix")
-    lam_min = _radius_eigenvalue(g)
-    cmax = _norm_ceiling(best_f, lam_min, dec.n, dec.k, budget)
-    if _unit_vector_certified(g_arr, best_f, lam_min) and (
-            dec.k == 1 or _vertex_checks_pass(dec.n, dec.k, cmax, budget)):
-        return _solver_result(best_a, best_f, None, t0, g.n, 0)
-    if dec.k >= 2:
-        a, f, x, scored, vertex_count = _vertex_search(g_arr, dec, cmax, budget, best_f)
-    else:
-        v = dec.v[:, 0]
-        a, f, x, scored, vertex_count = _rank_one_search(
-            g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)
-    if a is None:
-        a, f = best_a, best_f
-    return _solver_result(a, f, x, t0, g.n + scored, vertex_count)
+    v = dec.v[:, 0]
+    return _skip_or_search(g, dec.k, budget, t0, lambda g_arr, cmax, best_f: (
+        _vertex_search(g_arr, dec, cmax, budget, best_f) if dec.k >= 2
+        else _rank_one_search(g_arr, np.abs(v) / dec.d, dec.d, v, cmax, best_f)))

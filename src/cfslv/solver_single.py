@@ -8,14 +8,15 @@ that adds 2c + 1 to |a|^2 and |h_j| to |h.a|.  Sorting the crossings
 once and taking prefix sums therefore scores every rounding pattern
 within the norm bound psi = sqrt(min_j G_jj / lambda_min) in O(1)
 each; the few near the minimum are scored again on G to pick the
-winner.  Below psi = sqrt(3) only units and +-e_i +-e_j fit, and
-nothing is swept when no pair can beat the best unit vector.
+winner.  Whether anything is swept at all is decided by _skip_or_search,
+which both solvers run.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -69,19 +70,25 @@ def _lowest_on_g(g_arr: np.ndarray, cand: list[np.ndarray] | np.ndarray,
     return f_g.index(f_min), f_min
 
 
-def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int, budget: int | None) -> int:
+def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int,
+                  budget: int | None) -> tuple[int, bool]:
     """Both solvers' cmax = max(1, ceil(psi (1 - 1e-9))), psi^2 = best_f /
     lam_min: a vector below best_f has |a| < psi, so its cell's vertices
     have |c| <= floor(psi) + 1/2 <= cmax + 1/2, and rounding that lifts
     psi just above an integer adds no ring.  Raises ResourceBudgetError
-    if the vertex bound C(n, k) (2 cmax + 2)^k exceeds budget, also when
-    _unit_vector_certified then skips the search, so refusals do not
-    depend on it."""
+    if the vertex bound B = C(n, k) (2 cmax + 2)^k exceeds budget.  Also
+    returns whether a skip keeps every refusal (see _skip_or_search):
+    always at k = 1 or without a budget; at k >= 2 only when neither
+    check inside _vertex_search can fire, which sees at most C(B, k + 1)
+    vertex groups and B 2^n cells, a vertex having at most n tight
+    directions."""
     cmax = max(1, math.ceil(math.sqrt(best_f / lam_min) * (1.0 - 1e-9)))
+    if budget is None:
+        return cmax, True
     bound = math.comb(n, k) * (2 * cmax + 2) ** k
-    if budget is not None and bound > budget:
+    if bound > budget:
         raise ResourceBudgetError(f"vertex bound {bound} exceeds budget {budget}")
-    return cmax
+    return cmax, k == 1 or (bound << n <= budget and math.comb(bound, k + 1) <= budget)
 
 
 def _unit_vector_wins(best_f: float, lam_min: float) -> bool:
@@ -93,9 +100,9 @@ def _unit_vector_wins(best_f: float, lam_min: float) -> bool:
 
 
 def _unit_vector_certified(g_arr: np.ndarray, best_f: float, lam_min: float) -> bool:
-    """Whether both solvers keep the best unit vector, at best_f = min_j
-    G_jj, without a search: below psi^2 = best_f / lam_min = 3 only
-    units and +-e_i +-e_j fit.
+    """Whether the best unit vector, at best_f = min_j G_jj, is optimal
+    without a search: below psi^2 = best_f / lam_min = 3 only units and
+    +-e_i +-e_j fit.
 
     Below psi^2 = 2 (1 - 1e-9) the unit vector wins outright
     (_unit_vector_wins).  The only vectors with |a|^2 = 2 are +-e_i +-e_j
@@ -166,21 +173,47 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     return cand[j], f_star, np.array([0.5 * (float(xs[i]) + float(xs[i + 1]))]), *counts
 
 
+def _skip_or_search(gram: GramMatrix, k: int, budget: int | None, t0: float,
+                    search: Callable[[np.ndarray, int, float], _Found]) -> SolverResult:
+    """Both solvers' decision and result on G: the best unit vector e_j
+    (smallest G_jj = best_f, first j on a tie) unless search(G's
+    entries, cmax, best_f) finds a vector strictly lower on G
+    (_lowest_on_g's rule).
+
+    The skip rule, for every k: below psi^2 = min_j G_jj / lambda_min =
+    3 only units and +-e_i +-e_j fit, so where _unit_vector_certified
+    holds (psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 - 1e-9) and every pair
+    is clear of the best unit vector) that unit vector is optimal and
+    nothing is searched: candidates_evaluated = n, breakpoint_count = 0,
+    no witness.  The vertex bound of _norm_ceiling is checked first, and
+    at k >= 2 the skip is taken only where no budget check inside the
+    search could fire either, so no refusal depends on the skip.
+    Otherwise search returns _Found, and the counts are n + its scored
+    candidates and its breakpoint count.  elapsed_seconds runs from t0.
+    """
+    g_arr = gram.entries
+    n = g_arr.shape[0]
+    best_f, best_a = _best_unit_vector(g_arr)
+    lam_min = _radius_eigenvalue(gram)
+    cmax, skip_keeps_refusals = _norm_ceiling(best_f, lam_min, n, k, budget)
+    if skip_keeps_refusals and _unit_vector_certified(g_arr, best_f, lam_min):
+        return _solver_result(best_a, best_f, None, t0, n, 0)
+    a, f, x, scored, count = search(g_arr, cmax, best_f)
+    if a is None:
+        a, f = best_a, best_f
+    return _solver_result(a, f, x, t0, n + scored, count)
+
+
 def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUDGET) -> SolverResult:
     """Exact minimizer of a^T G a over nonzero integer vectors.
 
-    G is build_gram_single's.  Initializes with the best signed unit
-    vector, then runs _rank_one_search on x*h over c = 0..cmax, cmax
-    from _norm_ceiling, which picks by _lowest_on_g's rule (ties to the
-    smallest x).  Below psi^2 = 3 only units and +-e_i +-e_j fit: when
-    psi^2 < 2 (1 - 1e-9), or psi^2 < 3 (1 - 1e-9) and no pair can be
-    strictly below the best unit vector on G (_unit_vector_certified),
-    the unit vector is optimal and the sweep is skipped:
-    candidates_evaluated = n, breakpoint_count = 0.  Raises
-    ResourceBudgetError if the vertex bound n (2 cmax + 2) exceeds
-    budget, and ValueError if budget is below 1, if 1 + P|h|^2
-    overflows a float, or if the rounded G is not positive definite or
-    numerically singular.
+    G is build_gram_single's.  Starts from the best signed unit vector
+    and, unless _skip_or_search skips it, runs _rank_one_search on x*h
+    over c = 0..cmax, which picks by _lowest_on_g's rule (ties to the
+    smallest x).  Raises ResourceBudgetError if the vertex bound n (2
+    cmax + 2) exceeds budget, and ValueError if budget is below 1, if
+    1 + P|h|^2 overflows a float, or if the rounded G is not positive
+    definite or numerically singular.
     """
     return _solve_single(h, power, budget=budget)[0]
 
@@ -192,25 +225,14 @@ def _solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BU
     (rate._rate_bits) forms neither again.  scale comes from one
     _single_scale call, which reports an overflowing 1 + P|h|^2 as such,
     and G from it through _gram_single, with build_gram_single's bits.
-    The sweep is skipped where _unit_vector_certified holds, after the
-    budget check.  elapsed_seconds includes G's build."""
+    elapsed_seconds includes G's build."""
     t0 = time.perf_counter()
     _check_budget(budget)
     h = as_channel_vector(h)
     power = _check_power(power)
     hv = h.entries
-    n = h.n
     scale = _single_scale(hv, power)
     gram = _gram_single(hv, power, scale)
-    g_arr = gram.entries
-
-    best_f, best_a = _best_unit_vector(g_arr)
-    lam_min = _radius_eigenvalue(gram)
-    cmax = _norm_ceiling(best_f, lam_min, n, 1, budget)
-    if _unit_vector_certified(g_arr, best_f, lam_min):
-        return _solver_result(best_a, best_f, None, t0, n, 0), gram, scale
-    a, f, x, scored, crossings = _rank_one_search(
-        g_arr, np.abs(hv), np.full(n, scale), math.sqrt(power) * hv, cmax, best_f)
-    if a is None:
-        a, f = best_a, best_f
-    return _solver_result(a, f, x, t0, n + scored, crossings), gram, scale
+    res = _skip_or_search(gram, 1, budget, t0, lambda g_arr, cmax, best_f: _rank_one_search(
+        g_arr, np.abs(hv), np.full(h.n, scale), math.sqrt(power) * hv, cmax, best_f))
+    return res, gram, scale

@@ -344,8 +344,8 @@ def test_run_bench_starts_at_most_one_worker_per_trial(monkeypatch, threads, tri
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setenv("CFSLV_THREADS", str(threads))
     # run_bench imports the pool class from concurrent.futures when it needs one

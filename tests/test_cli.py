@@ -176,6 +176,21 @@ def test_budget_exit_code(capsys):
     assert err == "error: vertex bound 1272 exceeds budget 1000\n"
 
 
+@pytest.mark.parametrize("budget, message", [
+    ("2000", "204156 vertex groups of size 3 exceed budget 2000"),
+    ("100", "vertex bound 108 exceeds budget 100"),
+])
+def test_mimo_budget_exit_code(tmp_path, capsys, budget, message):
+    # without a budget this channel skips the search; --budget reaches
+    # solve_dpk, whose vertex-group guard or vertex bound refuses
+    path = tmp_path / "H.txt"
+    path.write_text("3 2\n1.0 0.2\n0.3 -0.8\n-0.5 0.6\n")
+    code, out, err = run_cli(["mimo", "--H", str(path), "--power", "1", "--budget", budget], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_rounding_singular_gram_is_input_error(capsys):
     code, out, err = run_cli(["solve", "--h", "1", "--power", "1e16"], capsys)
     assert code == 2

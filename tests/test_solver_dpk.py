@@ -44,7 +44,7 @@ def rank_one_dec():
 def cmax_of(gram, dec):
     """The ceiling solve_dpk searches on this pair, without a budget."""
     return _norm_ceiling(float(np.min(np.diag(gram.entries))), gram.min_eigenvalue,
-                         dec.n, dec.k, None)
+                         dec.n, dec.k, None)[0]
 
 
 def vertex_set(dec, cmax):
@@ -827,6 +827,25 @@ def test_rank_k_skip_keeps_the_refusals():
     res = solve_dpk(gram, dec, budget=groups)
     assert (res.candidates_evaluated, res.breakpoint_count) == (3, 0)
     assert res.a_star.entries.tolist() == _best_unit_vector(gram.entries)[1].tolist()
+
+
+def test_rank_k_skip_keeps_the_cell_count_refusal():
+    # psi^2 < 2 again, but at n = 28 the B 2^n bound on the cell count,
+    # not C(B, 3) on the vertex groups, decides whether a skip could hide
+    # a refusal: below B 2^28 the search runs (and refuses nothing here)
+    gram, dec = psi2_dec(0.1 * np.random.default_rng(3).standard_normal((28, 2)), 1.9)
+    best_f, best_a = _best_unit_vector(gram.entries)
+    assert _unit_vector_wins(best_f, gram.min_eigenvalue)
+    assert cmax_of(gram, dec) == 2
+    bound = math.comb(28, 2) * (2 * 2 + 2) ** 2
+    assert bound == 13_608 and math.comb(bound, 3) < bound << 28
+    for budget in math.comb(bound, 3), (bound << 28) - 1:
+        res = solve_dpk(gram, dec, budget=budget)
+        assert (res.candidates_evaluated, res.breakpoint_count) == (54_460, 13_608)
+        assert res.a_star.entries.tolist() == best_a.tolist()
+    res = solve_dpk(gram, dec, budget=bound << 28)
+    assert (res.candidates_evaluated, res.breakpoint_count) == (28, 0)
+    assert res.a_star.entries.tolist() == best_a.tolist()
 
 
 def rank_one_draws(rng, count):
