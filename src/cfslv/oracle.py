@@ -49,14 +49,27 @@ def ball_point_estimate(n: int, radius: float) -> float:
 def certification_radius(g, f_value: float) -> float:
     """Search radius that provably covers every a with f(a) <= f_value.
 
-    f(a) >= lambda_min |a|^2, so any such a has |a| <= sqrt(f_value /
-    lambda_min).  A 1e-9 relative margin absorbs float rounding, and
-    the result is clamped to at least 1 so unit vectors stay inside.
+    f(a) >= lambda_min |a|^2 bounds |a|^2 by f_value / lambda_min in
+    exact arithmetic, but f_value is a rounded sum: quad_objective's
+    value of a is within gamma_2n |a|^T |G| |a| <= 2 n^2 u max|G_ij| |a|^2
+    of a^T G a (u = 2^-53), and lambda_min, from eigvalsh or from a
+    closed form on G's rounded entries, is off by about n u max|G_ij|.
+    With delta = 4 n^2 u max|G_ij| for both, every a whose exact or
+    rounded value is at most f_value, or below the exact value of the
+    vector f_value was computed for, has |a|^2 <= f_value / (lambda_min -
+    delta).  A 1e-9 relative margin absorbs the rounding of that bound,
+    and the result is clamped to at least 1 so unit vectors stay inside.
+    Raises ValueError if lambda_min <= 1e-12 or lambda_min <= delta.
     """
     g = as_gram_matrix(g)
     if not (math.isfinite(f_value) and f_value > 0.0):
         raise ValueError("objective bound must be finite and positive")
-    return max(1.0, math.sqrt(f_value / _radius_eigenvalue(g)) * (1.0 + 1e-9))
+    lam_min = _radius_eigenvalue(g)
+    # max|G_ij| is max_j G_jj, as G is positive definite
+    delta = 4.0 * g.n * g.n * 2.0**-53 * max(g.entries.diagonal().tolist())
+    if not lam_min > delta:
+        raise ValueError(f"lambda_min = {lam_min:.3e} is within rounding ({delta:.3e}) of zero")
+    return max(1.0, math.sqrt(f_value / (lam_min - delta)) * (1.0 + 1e-9))
 
 
 def _is_unit(point: list[int]) -> bool:

@@ -36,10 +36,8 @@ from .core import (
     DpkDecomposition,
     SolverResult,
     as_gram_matrix,
-    _best_unit_vector,
     _check_budget,
     _freeze,
-    _solver_result,
 )
 from .errors import ResourceBudgetError
 from .gram import validate_dpk
@@ -137,8 +135,6 @@ def _vertex_labels(dec: DpkDecomposition, cmax: int) -> _Vertices:
     tight = np.abs(y - np.floor(y) - 0.5) <= TIGHT_RTOL * scale
     generic = np.add.reduce(tight, axis=1, dtype=np.intp) == k
     verts = _Vertices(rows, c, w, x, y, tight, generic, np.flatnonzero(~generic))
-    if not verts.merged.size:
-        return verts
     pts = verts.at(x, verts.merged)
     order = _grid_order(pts)
     keep = np.ones(order.size, dtype=bool)
@@ -179,19 +175,15 @@ def _vertex_cells(verts: _Vertices, ratios: np.ndarray,
     ResourceBudgetError, before any candidate is built, if these and the
     2^k cells of each generic vertex exceed budget.
     """
-    n = ratios.shape[0]
     total = int(np.count_nonzero(verts.generic)) << verts.rows.shape[1]
-    if verts.merged.size:
-        y = verts.at(verts.y, verts.merged)
-        tight = verts.at(verts.tight, verts.merged)
-        direction, reversed_ = _directions(ratios)
-        hit = tight @ (direction[:, None] == np.arange(direction.max() + 1))
-        n_tight = hit.sum(axis=1)
-        total += sum(int(c) << t for t, c in enumerate(np.bincount(n_tight)))
+    y = verts.at(verts.y, verts.merged)
+    tight = verts.at(verts.tight, verts.merged)
+    direction, reversed_ = _directions(ratios)
+    hit = tight @ (direction[:, None] == np.arange(direction.max() + 1))
+    n_tight = hit.sum(axis=1)
+    total += sum(int(c) << t for t, c in enumerate(np.bincount(n_tight)))
     if budget is not None and total > budget:
         raise ResourceBudgetError(f"{total} vertex cells exceed budget {budget}")
-    if not verts.merged.size:
-        return np.empty((0, n)), np.empty(0, dtype=np.intp)
     bit_of_direction = np.cumsum(hit, axis=1) - 1
     per_vertex = np.left_shift(1, n_tight)
     owner = np.repeat(np.arange(y.shape[0]), per_vertex)
@@ -251,12 +243,11 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     f[(l1 <= 1.0) | ~verts.generic[:, :, None]] = np.inf
     f, norm2 = f.ravel(), norm2.ravel()
     first_degenerate = f.size
-    if degenerate.size:
-        deg_norm2 = degenerate ** 2 @ d
-        deg_f = deg_norm2 - np.sum((degenerate @ v) ** 2, axis=1)
-        deg_f[np.abs(degenerate).sum(axis=1) <= 1.0] = np.inf
-        f = np.concatenate([f, deg_f])
-        norm2 = np.concatenate([norm2, deg_norm2])
+    deg_norm2 = degenerate ** 2 @ d
+    deg_f = deg_norm2 - np.sum((degenerate @ v) ** 2, axis=1)
+    deg_f[np.abs(degenerate).sum(axis=1) <= 1.0] = np.inf
+    f = np.concatenate([f, deg_f])
+    norm2 = np.concatenate([norm2, deg_norm2])
     scored = (int(np.count_nonzero(verts.generic)) << k) + degenerate.shape[0]
     near = _near_set(f, norm2, best_f)
     if near is None:
@@ -267,10 +258,9 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     cand = verts.at(base, flat)
     cand[np.arange(split)[:, None], verts.rows[flat // count]] = verts.w[near[:split] % (count << k)]
     xs = verts.at(verts.x, flat)
-    if degenerate.size:
-        i = near[split:] - first_degenerate
-        cand = np.concatenate([cand, degenerate[i]])
-        xs = np.concatenate([xs, verts.at(verts.x, verts.merged[owner[i]])])
+    i = near[split:] - first_degenerate
+    cand = np.concatenate([cand, degenerate[i]])
+    xs = np.concatenate([xs, verts.at(verts.x, verts.merged[owner[i]])])
     # an exact tie goes to the copy whose vertex comes first on the 1e-9
     # grid, then to the earlier cell (the sort is stable); a and -a are
     # one vector, scored once on G through its first copy in that order
@@ -293,8 +283,9 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     validate_dpk unless g and dec are the pair one build_gram_mimo call
     returned, which come from the same eigenpairs and are not compared
     again; any other g, dec or mix of the two is compared.  A None
-    decomposition is accepted only for diagonal g, where the best
-    unit vector is already optimal.  Unless _skip_or_search skips it,
+    decomposition is accepted only for diagonal g, where psi^2 = 1 and
+    _skip_or_search returns the best unit vector, without a budget and
+    without a search.  Unless _skip_or_search skips it,
     for k = 1 solve_single's search, _rank_one_search, sweeps x v / d
     (ties to the smallest x), and breakpoint_count counts its
     crossings; for k >= 2 the candidates are the rounded cells at each
@@ -315,8 +306,7 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
         g_arr = g.entries
         if np.any(g_arr - np.diag(np.diag(g_arr)) != 0.0):
             raise ValueError("a decomposition is required unless the Gram matrix is diagonal")
-        best_f, best_a = _best_unit_vector(g_arr)
-        return _solver_result(best_a, best_f, None, t0, g.n, 0)
+        return _skip_or_search(g, 1, None, t0, lambda g_arr, cmax, best_f: (None, None, None, 0, 0))
     built = isinstance(dec, DpkDecomposition) and dec._gram is g
     if not built and not validate_dpk(g, dec):
         raise ValueError("decomposition does not reproduce the Gram matrix")

@@ -155,8 +155,6 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     counts = opened.size, xs.size
     # the first interval holds one unit vector, no better than best_f
     scored = opened[1:] if opened.size and opened[0] == 0 else opened
-    if not scored.size:
-        return None, None, None, *counts
     norm2 = (d[:, None] * (2.0 * half)).ravel()[order].cumsum()
     dot = np.abs(v)[coord].cumsum()
     near = _near_set((norm2 - dot * dot)[scored], norm2[scored], best_f)

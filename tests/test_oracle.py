@@ -8,6 +8,7 @@ from cfslv.core import GramMatrix, quad_objective
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
 from cfslv.oracle import _ellipsoid_search, ball_point_estimate, brute_force_slv, certification_radius
+from cfslv.solver_single import _solve_single
 
 
 def test_identity_gram():
@@ -241,3 +242,37 @@ def test_certification_radius_covers_bound():
         # any a with f(a) <= f_cap satisfies |a| <= sqrt(f_cap / lam_min)
         assert radius >= 1.0
         assert radius >= np.sqrt(f_cap / lam_min)
+
+
+def test_certification_radius_covers_the_rounding_of_f_star():
+    # the solver is right, a* = h with exact value |h|^2 = 71, but its
+    # f_star rounds below 71; a radius from f_star / lambda_min alone had
+    # r^2 < 71, left h out, and the oracle returned a far worse vector
+    h = np.array([4.0, -4.0, -1.0, -2.0, -4.0, 3.0, 3.0])
+    res, g, _ = _solve_single(h, 946973.2412592551)
+    assert res.a_star.entries.tolist() == h.tolist()
+    assert res.f_star < 71.0
+    radius = certification_radius(g, res.f_star)
+    assert radius * radius >= 71.0
+    oracle = brute_force_slv(g, radius)
+    assert oracle.a_star.entries.tolist() == h.tolist()
+    assert oracle.f_star == res.f_star
+
+
+def test_high_power_commensurate_channels_are_certified():
+    # integer channels at high power: the optimum is often +-h itself, on
+    # the edge of the ball, with f_star rounded by about 1e-9 relative
+    rng = np.random.default_rng(2501)
+    for _ in range(200):
+        h = rng.integers(-4, 5, size=int(rng.integers(2, 8))).astype(float)
+        if not h.any():
+            continue
+        res, g, _ = _solve_single(h, float(10.0 ** rng.uniform(4.0, 7.0)), budget=None)
+        oracle = brute_force_slv(g, certification_radius(g, res.f_star), budget=None)
+        assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star), h.tolist()
+
+
+def test_certification_radius_rejects_lambda_within_rounding():
+    # delta = 4 n^2 2^-53 max|G_ij| is about 1.8e-3 here, above lambda_min
+    with pytest.raises(ValueError, match="within rounding"):
+        certification_radius(GramMatrix(np.diag([1e-6, 1e12])), 1e-6)

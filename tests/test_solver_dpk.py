@@ -135,8 +135,19 @@ def test_solve_diagonal_gram_with_decomposition():
 def test_solve_none_decomposition_requires_diagonal():
     res = solve_dpk(GramMatrix(np.diag([2.0, 0.5])), None)
     assert res.f_star == 0.5
+    # the skip rule's result: the best unit vector, nothing searched
+    assert res.a_star.entries.tolist() == [0, 1]
+    assert (res.candidates_evaluated, res.breakpoint_count, res.witness_point) == (2, 0, None)
+    # a tie goes to the first j
+    assert solve_dpk(GramMatrix(np.diag([0.5, 0.5, 2.0])), None).a_star.entries.tolist() == [1, 0, 0]
     with pytest.raises(ValueError):
         solve_dpk(GramMatrix(np.array([[3.0, -2.0], [-2.0, 3.0]])), None)
+
+
+def test_solve_none_decomposition_rejects_a_singular_diagonal():
+    # lambda_min <= 1e-12 raises on the diagonal path too, as for any G
+    with pytest.raises(ValueError, match="numerically singular"):
+        solve_dpk(GramMatrix(np.diag([1.0, 1e-13])), None)
 
 
 def test_solve_rejects_wrong_decomposition():
@@ -616,6 +627,16 @@ def test_rank_one_sweep_counts():
         assert n < res.candidates_evaluated <= n + res.breakpoint_count
         # criterion 5's bound
         assert res.breakpoint_count <= math.comb(n, 1) * (2 * math.ceil(psi) + 2)
+
+
+def test_rank_one_sweep_with_only_the_unit_interval_scores_nothing():
+    # h = (1, 0), P = 1: d = 2, v = (1, 0), so r = (0.5, 0) crosses only
+    # at x = 1 and 3 (cmax = 1); the one open interval between them holds
+    # the unit vector e_0, which is never scored, so nothing is
+    d, v = np.full(2, 2.0), np.array([1.0, 0.0])
+    gram = GramMatrix(np.diag(d) - np.outer(v, v))
+    found = _rank_one_search(gram.entries, np.abs(v) / d, d, v, 1, 1.0)
+    assert found == (None, None, None, 1, 2)
 
 
 def sweep_matches_the_solvers(h, power):
