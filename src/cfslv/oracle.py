@@ -77,6 +77,37 @@ def _is_unit(point: list[int]) -> bool:
     return point.count(0) == len(point) - 1 and 1 in point
 
 
+def _ellipsoid(g_arr: np.ndarray) -> tuple[float, list[float], list[list[float]]]:
+    """The ellipsoid the search prunes with, as (limit, q, m).
+
+    A unit vector is in the ball, so every minimiser has f(a) <= limit =
+    min_j G_jj (1 + 1e-9).  G = R^T R with R upper triangular, q_d =
+    R_dd^2 and m = R with unit diagonal: rows i < d of |R a|^2 depend on
+    a_0..a_{d-1} only, so they bound f from below.  If G has no Cholesky
+    factor, limit is inf, q all 1 and m 0, and only the ball prunes.
+    """
+    n = g_arr.shape[0]
+    try:
+        r = np.linalg.cholesky(g_arr[::-1, ::-1])[::-1, ::-1].T
+    except np.linalg.LinAlgError:
+        return math.inf, [1.0] * n, [[0.0] * n for _ in range(n)]
+    r_dd = r.diagonal()
+    limit = float(g_arr.diagonal().min()) * (1.0 + _SLACK)
+    return limit, (r_dd * r_dd).tolist(), (r / r_dd[:, None]).tolist()
+
+
+def _ellipsoid_point_bound(g_arr: np.ndarray) -> float:
+    """An upper bound on the points _ellipsoid_search scores: level d
+    admits the integers within sqrt((limit - lower) / q_d) (1 + 1e-9) <=
+    sqrt(limit / q_d) (1 + 1e-9) of its centre, at most floor(2 sqrt(limit
+    / q_d) (1 + 1e-9)) + 1 of them, and the points are paths through all
+    levels.  inf where only the ball prunes."""
+    limit, q, _ = _ellipsoid(g_arr)
+    widths = np.sqrt(limit / np.array(q)) * (1.0 + _SLACK)
+    with np.errstate(over="ignore"):
+        return float(np.prod(np.floor(2.0 * widths) + 1.0))
+
+
 def _ellipsoid_search(g_arr: np.ndarray,
                       radius: float) -> tuple[list[int], float, int]:
     """Minimiser over ball and ellipsoid, its value on G, and the number
@@ -96,17 +127,7 @@ def _ellipsoid_search(g_arr: np.ndarray,
     n = g_arr.shape[0]
     g = g_arr.tolist()
     r2 = radius * radius
-    # a unit vector is in the ball, so every minimiser has f(a) <= min_j G_jj
-    limit = float(g_arr.diagonal().min()) * (1.0 + _SLACK)
-    try:
-        # G = R^T R with R lower triangular: rows i < d of |R a|^2 depend
-        # on a_0..a_{d-1} only, so they bound f from below
-        r = np.linalg.cholesky(g_arr[::-1, ::-1])[::-1, ::-1].T
-        r_dd = r.diagonal()
-        q = (r_dd * r_dd).tolist()
-        m = (r / r_dd[:, None]).tolist()
-    except np.linalg.LinAlgError:
-        limit, q, m = math.inf, [1.0] * n, [[0.0] * n for _ in range(n)]
+    limit, q, m = _ellipsoid(g_arr)
     a, top = [0] * n, [0] * n
     cross = [0.0] * n  # (G a)_d over the prefix a_0..a_{d-1}
     centre = [0.0] * n  # -sum_{j<d} M_dj a_j, M = R with unit diagonal
@@ -212,9 +233,9 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     Either way the winner is reported through _solver_result with the
     value it was ranked by: G_jj for a unit vector e_j, the same bits as
     quad_objective, and quad_objective's value for any other.  Raises
-    ResourceBudgetError when the ball's estimated point count, an
-    upper bound on that work, exceeds budget, and ValueError if budget
-    is below 1.
+    ResourceBudgetError when the ball's estimated point count and
+    _ellipsoid_point_bound, formed only when that estimate exceeds
+    budget, both exceed budget; and ValueError if budget is below 1.
     """
     t0 = time.perf_counter()
     _check_budget(budget)
@@ -224,11 +245,11 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     if not (math.isfinite(radius * radius) and radius >= 1.0):
         raise ValueError("radius must be at least 1 and its square finite")
     estimate = ball_point_estimate(g.n, radius)
-    if budget is not None and estimate > budget:
+    g_arr = g.entries
+    if budget is not None and estimate > budget and _ellipsoid_point_bound(g_arr) > budget:
         raise ResourceBudgetError(
             f"estimated {estimate:.3e} candidates exceeds budget {budget}"
         )
-    g_arr = g.entries
     if radius * radius < 2.0 - 1e-8:
         point, f, evaluated = _unit_vector_search(g_arr)
     else:

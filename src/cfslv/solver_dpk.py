@@ -44,9 +44,10 @@ from .gram import validate_dpk
 from .solver_single import _Found, _lowest_on_g, _near_set, _rank_one_search, _skip_or_search
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
-VERTEX_DEDUP_TOL = 1e-9
 TIGHT_RTOL = 1e-8
 PARALLEL_TOL = 1e-9
+# the spacing of _grid_order's grid
+_GRID_STEP = 1e-9
 
 
 @functools.lru_cache(maxsize=16)
@@ -77,7 +78,8 @@ class _Vertices(NamedTuple):
     |r_i| |x|) of a half-integer.  A vertex is generic when only the k
     rows of its label are tight, and then no other label solves to it.
     A degenerate vertex has one copy per label that solves to it;
-    merged holds the flat (s, r) index of one copy of each.
+    merged holds the flat (s, r) index of one copy of each, in
+    _grid_order's order.
     """
 
     rows: np.ndarray
@@ -105,7 +107,14 @@ def _grid_order(pts: np.ndarray) -> np.ndarray:
     ties by their exact coordinates."""
     # the grid first, so rounding noise in one coordinate cannot
     # separate two copies of a vertex in this order
-    return np.lexsort(np.vstack([pts.T[::-1], np.round(pts / VERTEX_DEDUP_TOL).T[::-1]]))
+    return np.lexsort(np.vstack([pts.T[::-1], np.round(pts / _GRID_STEP).T[::-1]]))
+
+
+def _cell_base(y: np.ndarray, tight: np.ndarray) -> np.ndarray:
+    """The rounding of y at a vertex that its cells share: floor(y) on
+    the tight rows, which take floor or floor + 1 by cell, and the
+    nearest integer on the others."""
+    return np.where(tight, np.floor(y), np.floor(y + 0.5))
 
 
 def _vertex_labels(dec: DpkDecomposition, cmax: int) -> _Vertices:
@@ -116,10 +125,14 @@ def _vertex_labels(dec: DpkDecomposition, cmax: int) -> _Vertices:
     all pairs are solved in one batched LAPACK call.  Singular subsets
     are skipped: those whose rows of diag(d)^-1/2 V have a singular
     value ratio at or below 1e-10, the test DpkDecomposition applies to
-    all of it.  Only the copies of degenerate vertices are merged: in
-    _grid_order's order, a copy closer than 1e-9 in Euclidean distance
-    to its predecessor is merged into it.  solve_dpk checks the solve
-    count C(n, k) (2 cmax + 2)^k against its budget first.
+    all of it.  Only the copies of degenerate vertices are merged, on
+    their cell signature: the tight rows and _cell_base, from which
+    _vertex_cells builds the cells.  Two distinct vertices cannot share
+    it, since their tight rows have rank k and fix the vertex, while
+    rounding noise cannot split the copies of one, however far apart it
+    puts them.  The first copy in _grid_order's order is kept.
+    _vertex_search checks the size of these arrays against its budget
+    first.
     """
     k = dec.k
     c, w = _label_grid(k, cmax)
@@ -135,11 +148,15 @@ def _vertex_labels(dec: DpkDecomposition, cmax: int) -> _Vertices:
     tight = np.abs(y - np.floor(y) - 0.5) <= TIGHT_RTOL * scale
     generic = np.add.reduce(tight, axis=1, dtype=np.intp) == k
     verts = _Vertices(rows, c, w, x, y, tight, generic, np.flatnonzero(~generic))
-    pts = verts.at(x, verts.merged)
-    order = _grid_order(pts)
-    keep = np.ones(order.size, dtype=bool)
-    keep[1:] = np.sqrt(np.sum(np.diff(pts[order], axis=0) ** 2, axis=1)) > VERTEX_DEDUP_TOL
-    return verts._replace(merged=verts.merged[order[keep]])
+    copies = verts.merged[_grid_order(verts.at(x, verts.merged))]
+    copy_tight = verts.at(tight, copies)
+    signature = np.hstack([copy_tight, _cell_base(verts.at(y, copies), copy_tight)])
+    # a stable sort, so the first copy of each signature stays first
+    by_signature = np.lexsort(signature.T)
+    signature = signature[by_signature]
+    first = np.ones(copies.size, dtype=bool)
+    first[1:] = np.any(signature[1:] != signature[:-1], axis=1)
+    return verts._replace(merged=copies[np.sort(by_signature[first])])
 
 
 def _directions(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,15 +207,17 @@ def _vertex_cells(verts: _Vertices, ratios: np.ndarray,
     pattern = np.arange(owner.size) - np.repeat(np.cumsum(per_vertex) - per_vertex, per_vertex)
     bit_of_row = np.maximum(bit_of_direction[:, direction], 0)[owner]
     up = ((pattern[:, None] >> bit_of_row) & 1).astype(bool) ^ reversed_
-    base = np.where(tight, np.floor(y), np.floor(y + 0.5))[owner]
+    base = _cell_base(y, tight)[owner]
     return base + (up & tight[owner]), owner
 
 
 def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
                    budget: int | None, best_f: float) -> _Found:
     """Best rounded cell at the arrangement vertices that beats best_f on
-    G, for k >= 2.  Where _skip_or_search would skip it but for its
-    budget checks, it refuses or finds no a.
+    G, for k >= 2.  Raises ResourceBudgetError, in this order and before
+    any candidate is built, when the C(n, k) (2 cmax + 2)^k x n entries
+    of _vertex_labels' arrays, the C(#vertices, k + 1) vertex groups or
+    _vertex_cells' candidates exceed budget.
 
     A generic vertex yields its 2^k cells straight from its label (see
     _label_grid), and every row outside the label rounds to nearest;
@@ -215,11 +234,14 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     grid.  Returns _Found: (a, its value on G, its vertex, candidates
     scored, vertices); the counts include the zero and unit cells.
     """
+    k = dec.k
+    entries = math.comb(dec.n, k) * (2 * cmax + 2) ** k * dec.n
+    if budget is not None and entries > budget:
+        raise ResourceBudgetError(f"{entries} vertex label entries exceed budget {budget}")
     verts = _vertex_labels(dec, cmax)
     # C(#vertices, k+1) no longer measures the work (the candidate
     # count in _vertex_cells does); it still refuses the instances
     # it refused when every (k+1)-subset of vertices was scored
-    k = dec.k
     n_groups = math.comb(verts.count, k + 1)
     if budget is not None and n_groups > budget:
         raise ResourceBudgetError(
@@ -295,9 +317,10 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     a_star| <= 1/2 entrywise: the interval midpoint for k = 1, the
     vertex that produced a_star for k >= 2.  Raises ResourceBudgetError
     if the vertex bound C(n, k) (2 cmax + 2)^k exceeds budget, and for
-    k >= 2 if the number of vertex subsets C(#vertices, k+1) or of
-    candidates does, both counted before any candidate is built; and
-    ValueError if budget is below 1 or lambda_min(G) <= 1e-12.
+    k >= 2, where the search runs, if n times that bound, the number of
+    vertex subsets C(#vertices, k+1) or of candidates does, each checked
+    before the arrays it counts are built; and ValueError if budget is
+    below 1 or lambda_min(G) <= 1e-12.
     """
     t0 = time.perf_counter()
     _check_budget(budget)

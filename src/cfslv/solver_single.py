@@ -77,26 +77,17 @@ def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int,
     have |c| <= floor(psi) + 1/2 <= cmax + 1/2, and rounding that lifts
     psi just above an integer adds no ring.  Raises ResourceBudgetError
     if the vertex bound B = C(n, k) (2 cmax + 2)^k exceeds budget.  Also
-    returns whether a skip keeps every refusal (see _skip_or_search):
-    always at k = 1 or without a budget; at k >= 2 only when neither
-    check inside _vertex_search can fire, which sees at most C(B, k + 1)
-    vertex groups and B 2^n cells, a vertex having at most n tight
-    directions."""
+    returns whether _skip_or_search may skip: always at k = 1 or without
+    a budget; at k >= 2 only when C(B, k + 1) <= budget, so that the
+    vertex-group guard in _vertex_search, which sees at most C(B, k + 1)
+    groups, could not refuse the search."""
     cmax = max(1, math.ceil(math.sqrt(best_f / lam_min) * (1.0 - 1e-9)))
     if budget is None:
         return cmax, True
     bound = math.comb(n, k) * (2 * cmax + 2) ** k
     if bound > budget:
         raise ResourceBudgetError(f"vertex bound {bound} exceeds budget {budget}")
-    return cmax, k == 1 or (bound << n <= budget and math.comb(bound, k + 1) <= budget)
-
-
-def _unit_vector_wins(best_f: float, lam_min: float) -> bool:
-    """Whether psi^2 = best_f / lam_min is below 2 (1 - 1e-9).  Every
-    nonzero integer vector other than +-e_j has |a|^2 >= 2, so f(a) >=
-    2 lam_min > best_f: the best unit vector is optimal and there is
-    nothing to search.  The margin absorbs lam_min's rounding."""
-    return best_f < 2.0 * lam_min * (1.0 - 1e-9)
+    return cmax, k == 1 or math.comb(bound, k + 1) <= budget
 
 
 def _unit_vector_certified(g_arr: np.ndarray, best_f: float, lam_min: float) -> bool:
@@ -104,18 +95,18 @@ def _unit_vector_certified(g_arr: np.ndarray, best_f: float, lam_min: float) -> 
     without a search: below psi^2 = best_f / lam_min = 3 only units and
     +-e_i +-e_j fit.
 
-    Below psi^2 = 2 (1 - 1e-9) the unit vector wins outright
-    (_unit_vector_wins).  The only vectors with |a|^2 = 2 are +-e_i +-e_j
-    (i != j), and every other nonunit vector has |a|^2 >= 3, so f(a) >=
-    3 lam_min.  So below psi^2 = 3 (1 - 1e-9) the unit vector wins when
-    every pair value G_ii + G_jj - 2 |G_ij| <= f(+-e_i +-e_j) exceeds
-    best_f by more than 1e-9 (G_ii + G_jj): then no pair is strictly
-    lower on G, as _lowest_on_g's rule requires of a winner, since
-    |G_ij| <= (G_ii + G_jj) / 2 keeps the rounding of that sum, and of
-    quad_objective, about 1e6 times below the margin.  The O(n^2) pair
-    values are formed only in that band; the margins on psi^2 absorb
-    lam_min's rounding."""
-    if _unit_vector_wins(best_f, lam_min):
+    Every nonzero integer vector other than +-e_j has |a|^2 >= 2, so
+    f(a) >= 2 lam_min: below psi^2 = 2 (1 - 1e-9) the unit vector wins
+    outright.  The only vectors with |a|^2 = 2 are +-e_i +-e_j (i != j),
+    and every other nonunit vector has |a|^2 >= 3, so f(a) >= 3 lam_min.
+    So below psi^2 = 3 (1 - 1e-9) the unit vector wins when every pair
+    value G_ii + G_jj - 2 |G_ij| <= f(+-e_i +-e_j) exceeds best_f by
+    more than 1e-9 (G_ii + G_jj): then no pair is strictly lower on G,
+    as _lowest_on_g's rule requires of a winner, since |G_ij| <= (G_ii +
+    G_jj) / 2 keeps the rounding of that sum, and of quad_objective,
+    about 1e6 times below the margin.  The O(n^2) pair values are formed
+    only in that band; the margins on psi^2 absorb lam_min's rounding."""
+    if best_f < 2.0 * lam_min * (1.0 - 1e-9):
         return True
     if not best_f < 3.0 * lam_min * (1.0 - 1e-9):
         return False
@@ -184,17 +175,18 @@ def _skip_or_search(gram: GramMatrix, k: int, budget: int | None, t0: float,
     is clear of the best unit vector) that unit vector is optimal and
     nothing is searched: candidates_evaluated = n, breakpoint_count = 0,
     no witness.  The vertex bound of _norm_ceiling is checked first, and
-    at k >= 2 the skip is taken only where no budget check inside the
-    search could fire either, so no refusal depends on the skip.
-    Otherwise search returns _Found, and the counts are n + its scored
-    candidates and its breakpoint count.  elapsed_seconds runs from t0.
+    at k >= 2 the skip also waits until the vertex-group guard inside
+    the search could not refuse (see _norm_ceiling); the search's other
+    refusals apply only where it runs.  Otherwise search returns _Found,
+    and the counts are n + its scored candidates and its breakpoint
+    count.  elapsed_seconds runs from t0.
     """
     g_arr = gram.entries
     n = g_arr.shape[0]
     best_f, best_a = _best_unit_vector(g_arr)
     lam_min = _radius_eigenvalue(gram)
-    cmax, skip_keeps_refusals = _norm_ceiling(best_f, lam_min, n, k, budget)
-    if skip_keeps_refusals and _unit_vector_certified(g_arr, best_f, lam_min):
+    cmax, may_skip = _norm_ceiling(best_f, lam_min, n, k, budget)
+    if may_skip and _unit_vector_certified(g_arr, best_f, lam_min):
         return _solver_result(best_a, best_f, None, t0, n, 0)
     a, f, x, scored, count = search(g_arr, cmax, best_f)
     if a is None:

@@ -7,7 +7,13 @@ import cfslv.oracle
 from cfslv.core import GramMatrix, quad_objective
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
-from cfslv.oracle import _ellipsoid_search, ball_point_estimate, brute_force_slv, certification_radius
+from cfslv.oracle import (
+    DEFAULT_ORACLE_BUDGET,
+    _ellipsoid_search,
+    ball_point_estimate,
+    brute_force_slv,
+    certification_radius,
+)
 from cfslv.solver_single import _solve_single
 
 
@@ -212,9 +218,24 @@ def test_rejects_radius_whose_square_overflows():
 
 
 def test_budget_error_on_huge_search_space():
-    g = build_gram_single(np.ones(8), 1.0)
+    # the ellipsoid allows 3 values a level, 3^16 points, past the budget
+    g = build_gram_single(np.ones(16), 1.0)
     with pytest.raises(ResourceBudgetError):
         brute_force_slv(g, 200.0, budget=10**6)
+
+
+def test_budget_allows_a_huge_ball_with_a_small_ellipsoid():
+    # the ball of radius 200 is estimated at 5.2e18 points, but the
+    # ellipsoid f(a) <= min_j G_jj allows 3 values a level, 3^8 points
+    g = build_gram_single(np.ones(8), 1.0)
+    assert ball_point_estimate(8, 200.0) > DEFAULT_ORACLE_BUDGET
+    res = brute_force_slv(g, 200.0)
+    ref = brute_force_slv(g, 200.0, budget=None)
+    assert res.a_star.entries.tolist() == ref.a_star.entries.tolist()
+    assert (res.f_star, res.candidates_evaluated) == (ref.f_star, ref.candidates_evaluated)
+    assert brute_force_slv(g, 200.0, budget=3**8).f_star == ref.f_star
+    with pytest.raises(ResourceBudgetError, match="^estimated 5.195e[+]18 candidates exceeds budget 6560$"):
+        brute_force_slv(g, 200.0, budget=3**8 - 1)
 
 
 @pytest.mark.parametrize("budget", [0, -3])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,6 @@ from cfslv.solver_single import (
     _norm_ceiling,
     _rank_one_search,
     _unit_vector_certified,
-    _unit_vector_wins,
     solve_single,
 )
 
@@ -414,6 +414,23 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
             assert np.all(np.abs(image - found) <= 0.5 + 1e-9)
 
 
+def test_copies_of_a_degenerate_vertex_merge_however_far_apart():
+    # rows 0 and 1 are negations of each other, and rounding puts two
+    # copies of one degenerate vertex 1.33e-9 apart; they share their
+    # cells, so they are one vertex
+    h = [[-0.46918811417037287, -0.1128931533640909], [0.46918811417037287, 0.1128931533640909],
+         [0.6854763797414173, 0.5927592341265248], [-0.05801835598190251, -0.6797469926467432],
+         [-0.6576755830182472, -1.0755466705458019], [0.8398458749078057, 0.2027321791304967]]
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=0.16333752389939873))
+    assert cmax_of(gram, dec) == 2
+    verts = _vertex_labels(dec, 2)
+    assert verts.merged.size == 144
+    res = solve_dpk(gram, dec)
+    assert (res.candidates_evaluated, res.breakpoint_count) == (1446, verts.count) == (1446, 360)
+    assert res.a_star.entries.tolist() == [0, 0, 0, 0, 1, 0]
+    assert res.f_star.hex() == "0x1.a92dcc109442ap-1"
+
+
 THIRD = 1.0 / 3.0
 
 
@@ -495,12 +512,37 @@ def test_refusals_come_before_the_candidates_are_built():
         with pytest.raises(ResourceBudgetError, match=message):
             solve_dpk(gram, dec, budget=budget)
 
-    # the vertex bound C(8, 2) 8^2 = 1792 fits, the vertex groups do not
+    # the vertex bound C(8, 2) 8^2 = 1792 fits, its 1792 x 8 label
+    # entries do not; at that many entries the vertex groups do not fit
+    assert peak_bytes(lambda: refused(1792, "^14336 vertex label entries exceed")) < matrix / 2
     groups = math.comb(full.breakpoint_count, 3)
-    assert peak_bytes(lambda: refused(1792, f"^{groups} vertex groups of size 3 exceed")) < matrix / 2
+    assert peak_bytes(lambda: refused(14336, f"^{groups} vertex groups of size 3 exceed")) < matrix / 2
     ratios = dec.v / dec.d[:, None]
     assert peak_bytes(lambda: pytest.raises(ResourceBudgetError, _vertex_cells, verts, ratios,
                                             cells - 1)) < matrix / 4
+
+
+def test_label_entries_are_refused_before_any_label_is_solved():
+    # a wide-range k = 3, n = 7 channel: its C(7, 3) 68^3 labels pass
+    # the vertex bound at the default budget, but not their 7 entries
+    # each, which took seconds and gigabytes to build before the
+    # vertex-group guard refused them
+    h = [[3.0357964718803519e3, 9.5882526092331194e-2, 1.1599957028229340e-3],
+         [1.7706232442663467e-2, -2.6286761521305762e3, 9.8937230797327791e-1],
+         [-3.0493960901416517e2, 1.6851029839911391e3, 3.7801424135518784e5],
+         [1.3988974379003743e4, -2.2399169333897637e-6, -9.3794879981196788e-5],
+         [1.3702139115283854e-1, 3.0791062471769897e-3, 2.6323404940728546e5],
+         [3.2276271686195646e3, 4.5281046252472285e-7, 2.8754981804489319e1],
+         [2.2840299336622046e-5, -1.2570668590740415e3, -1.2620225241289596e-3]]
+    gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=1.9026314485068136e-8))
+    assert cmax_of(gram, dec) == 33
+    entries = math.comb(7, 3) * 68 ** 3 * 7
+    assert entries // 7 <= cfslv.solver_dpk.DEFAULT_COMBINATION_BUDGET < entries
+    t0 = time.perf_counter()
+    peak = peak_bytes(lambda: pytest.raises(
+        ResourceBudgetError, solve_dpk, gram, dec).match(f"^{entries} vertex label entries exceed"))
+    assert time.perf_counter() - t0 < 0.1
+    assert peak < 2**20
 
 
 def test_deterministic():
@@ -675,7 +717,7 @@ def test_unit_vector_bound_matches_the_sweep(h, scale):
     power = scale / (h_arr @ h_arr - np.max(h_arr * h_arr))
     gram = build_gram_single(h_arr, power)
     best_f = float(np.min(np.diag(gram.entries)))
-    assert _unit_vector_wins(best_f, gram.min_eigenvalue) == (scale == 1.0 - 1e-6)
+    assert (best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)) == (scale == 1.0 - 1e-6)
     assert sweep_matches_the_solvers(h_arr, power) == (scale == 1.0 - 1e-6 or h != (1.0, 1.0))
 
 
@@ -703,7 +745,7 @@ def psi2_dec(v, psi2):
 def vertex_search_matches_solve_dpk(gram, dec):
     """Check solve_dpk on the pair at budgets None and the default against
     _vertex_search run directly; returns whether it may skip the search
-    (it does wherever neither vertex budget check could fire)."""
+    (it does wherever the vertex-group guard could not fire)."""
     best_f, best_a = _best_unit_vector(gram.entries)
     skipped = _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue)
     for budget in None, cfslv.solver_dpk.DEFAULT_COMBINATION_BUDGET:
@@ -743,7 +785,7 @@ def test_rank_k_unit_vector_bound_matches_the_vertex_search(v, scale):
     # the vertex search there too
     gram, dec = psi2_dec(v, 2.0 * scale)
     best_f = _best_unit_vector(gram.entries)[0]
-    assert _unit_vector_wins(best_f, gram.min_eigenvalue) == (scale == 1.0 - 1e-6)
+    assert (best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)) == (scale == 1.0 - 1e-6)
     assert vertex_search_matches_solve_dpk(gram, dec)
 
 
@@ -816,7 +858,7 @@ def test_pair_skip_keeps_the_vertex_group_refusals(v):
     # runs there and refuses, though the pair check certifies the unit vector
     gram, dec = psi2_dec(v, 2.5)
     best_f = _best_unit_vector(gram.entries)[0]
-    assert not _unit_vector_wins(best_f, gram.min_eigenvalue)
+    assert not best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
     assert _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue)
     assert cmax_of(gram, dec) == 2
     count = _vertex_labels(dec, 2).count
@@ -833,39 +875,53 @@ def test_rank_k_skip_keeps_the_refusals():
     # psi^2 < 2, so the best unit vector is optimal, but the vertex-group
     # guard refuses the search at a small budget: the skip must not hide that
     gram, dec = psi2_dec(((1.0, 0.2), (0.3, -0.8), (-0.5, 0.6)), 1.9)
-    assert _unit_vector_wins(_best_unit_vector(gram.entries)[0], gram.min_eigenvalue)
+    assert _best_unit_vector(gram.entries)[0] / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
     cmax = cmax_of(gram, dec)
     bound = math.comb(3, 2) * (2 * cmax + 2) ** 2
     # every label solves to a vertex of its own
     assert _vertex_labels(dec, cmax).count == bound
     groups = math.comb(bound, 3)
-    assert bound < 2000 < groups and bound << 3 < groups
+    assert bound * 3 < 2000 < groups
     for budget in 2000, groups - 1:
         with pytest.raises(ResourceBudgetError,
                            match=f"^{groups} vertex groups of size 3 exceed budget {budget}$"):
             solve_dpk(gram, dec, budget=budget)
-    # from C(bound, 3) on neither check can fire, and nothing is searched
+    # from C(bound, 3) on the guard cannot fire, and nothing is searched
     res = solve_dpk(gram, dec, budget=groups)
     assert (res.candidates_evaluated, res.breakpoint_count) == (3, 0)
     assert res.a_star.entries.tolist() == _best_unit_vector(gram.entries)[1].tolist()
 
 
-def test_rank_k_skip_keeps_the_cell_count_refusal():
-    # psi^2 < 2 again, but at n = 28 the B 2^n bound on the cell count,
-    # not C(B, 3) on the vertex groups, decides whether a skip could hide
-    # a refusal: below B 2^28 the search runs (and refuses nothing here)
+def test_rank_k_skip_waits_only_on_the_vertex_groups():
+    # psi^2 < 2 again: at n = 28 every budget from C(B, 3) on skips the
+    # search, though the B 2^28 bound on the cell count is larger
     gram, dec = psi2_dec(0.1 * np.random.default_rng(3).standard_normal((28, 2)), 1.9)
     best_f, best_a = _best_unit_vector(gram.entries)
-    assert _unit_vector_wins(best_f, gram.min_eigenvalue)
+    assert best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
     assert cmax_of(gram, dec) == 2
     bound = math.comb(28, 2) * (2 * 2 + 2) ** 2
     assert bound == 13_608 and math.comb(bound, 3) < bound << 28
-    for budget in math.comb(bound, 3), (bound << 28) - 1:
+    for budget in math.comb(bound, 3), (bound << 28) - 1, bound << 28:
         res = solve_dpk(gram, dec, budget=budget)
-        assert (res.candidates_evaluated, res.breakpoint_count) == (54_460, 13_608)
+        assert (res.candidates_evaluated, res.breakpoint_count) == (28, 0)
         assert res.a_star.entries.tolist() == best_a.tolist()
-    res = solve_dpk(gram, dec, budget=bound << 28)
-    assert (res.candidates_evaluated, res.breakpoint_count) == (28, 0)
+
+
+def test_rank_k_skip_hides_the_cell_count_refusal():
+    # 40 rows (1, gamma_i): the lines r_i x = c of one c all meet on the
+    # x_1 axis, so each of those 6 vertices has 2^40 cells, more than
+    # C(B, 3); the search refuses on the cell count, the skip returns
+    gamma = np.random.default_rng(5).uniform(-1.0, 1.0, 40)
+    gram, dec = psi2_dec(np.column_stack([np.ones(40), gamma]), 1.9)
+    best_f, best_a = _best_unit_vector(gram.entries)
+    assert best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
+    assert cmax_of(gram, dec) == 2
+    budget = math.comb(math.comb(40, 2) * (2 * 2 + 2) ** 2, 3)
+    assert 6 << 40 > budget
+    with pytest.raises(ResourceBudgetError, match=f"^[0-9]+ vertex cells exceed budget {budget}$"):
+        _vertex_search(gram.entries, dec, 2, budget, best_f)
+    res = solve_dpk(gram, dec, budget=budget)
+    assert (res.candidates_evaluated, res.breakpoint_count) == (40, 0)
     assert res.a_star.entries.tolist() == best_a.tolist()
 
 
