@@ -5,9 +5,10 @@ over canonical-sign integer vectors with |a| <= radius.  A unit vector
 lies in the ball, so only points with f(a) <= min_j G_jj can win; a
 depth-first Fincke-Pohst search visits just those points of the ball,
 and picks among the nearly lowest by quad_objective, the value f_star
-reports.  A ball with radius^2 < 2 holds only the unit vectors, so no
-search runs there.  Used to certify solver outputs and as the ground
-truth in benchmark campaigns.
+reports.  Small balls need no search: one with radius^2 < 2 - 1e-8
+holds only the unit vectors, one with radius^2 < 3 - 1e-8 only those and
+the pairs e_i +- e_j, and both are scored from G's entries.  Used to
+certify solver outputs and as the ground truth in benchmark campaigns.
 """
 
 from __future__ import annotations
@@ -77,7 +78,11 @@ def _is_unit(point: list[int]) -> bool:
     return point.count(0) == len(point) - 1 and 1 in point
 
 
-def _ellipsoid(g_arr: np.ndarray) -> tuple[float, list[float], list[list[float]]]:
+# (limit, q, m): the ellipsoid _ellipsoid_search prunes with
+_Ellipsoid = tuple[float, list[float], list[list[float]]]
+
+
+def _ellipsoid(g_arr: np.ndarray) -> _Ellipsoid:
     """The ellipsoid the search prunes with, as (limit, q, m).
 
     A unit vector is in the ball, so every minimiser has f(a) <= limit =
@@ -96,20 +101,20 @@ def _ellipsoid(g_arr: np.ndarray) -> tuple[float, list[float], list[list[float]]
     return limit, (r_dd * r_dd).tolist(), (r / r_dd[:, None]).tolist()
 
 
-def _ellipsoid_point_bound(g_arr: np.ndarray) -> float:
-    """An upper bound on the points _ellipsoid_search scores: level d
-    admits the integers within sqrt((limit - lower) / q_d) (1 + 1e-9) <=
-    sqrt(limit / q_d) (1 + 1e-9) of its centre, at most floor(2 sqrt(limit
-    / q_d) (1 + 1e-9)) + 1 of them, and the points are paths through all
-    levels.  inf where only the ball prunes."""
-    limit, q, _ = _ellipsoid(g_arr)
+def _ellipsoid_point_bound(ellipsoid: _Ellipsoid) -> float:
+    """An upper bound on the points _ellipsoid_search scores in ellipsoid:
+    level d admits the integers within sqrt((limit - lower) / q_d) (1 +
+    1e-9) <= sqrt(limit / q_d) (1 + 1e-9) of its centre, at most
+    floor(2 sqrt(limit / q_d) (1 + 1e-9)) + 1 of them, and the points are
+    paths through all levels.  inf where only the ball prunes."""
+    limit, q, _ = ellipsoid
     widths = np.sqrt(limit / np.array(q)) * (1.0 + _SLACK)
     with np.errstate(over="ignore"):
         return float(np.prod(np.floor(2.0 * widths) + 1.0))
 
 
-def _ellipsoid_search(g_arr: np.ndarray,
-                      radius: float) -> tuple[list[int], float, int]:
+def _ellipsoid_search(g_arr: np.ndarray, radius: float,
+                      ellipsoid: _Ellipsoid | None = None) -> tuple[list[int], float, int]:
     """Minimiser over ball and ellipsoid, its value on G, and the number
     of points scored.
 
@@ -122,12 +127,13 @@ def _ellipsoid_search(g_arr: np.ndarray,
     in enumeration order wins an exact tie.  That is the solvers' rule
     (solver_single._lowest_on_g) without an incumbent, written out here
     so the oracle stays independent of them.  The value is the winner's
-    from that ranking.
+    from that ranking.  ellipsoid is _ellipsoid(g_arr), formed here when
+    the caller has not formed it already.
     """
     n = g_arr.shape[0]
     g = g_arr.tolist()
     r2 = radius * radius
-    limit, q, m = _ellipsoid(g_arr)
+    limit, q, m = _ellipsoid(g_arr) if ellipsoid is None else ellipsoid
     a, top = [0] * n, [0] * n
     cross = [0.0] * n  # (G a)_d over the prefix a_0..a_{d-1}
     centre = [0.0] * n  # -sum_{j<d} M_dj a_j, M = R with unit diagonal
@@ -198,23 +204,61 @@ def _ellipsoid_search(g_arr: np.ndarray,
     return leaves[i][1], f_g[i], evaluated
 
 
-def _unit_vector_search(g_arr: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """_ellipsoid_search's result for a ball with radius^2 < 2 - 1e-8,
-    as (e_j, G_jj, count), from one pass over G's diagonal.
+def _small_ball_search(g_arr: np.ndarray, r2: float) -> tuple[np.ndarray, float, int]:
+    """_ellipsoid_search's result for a ball with radius^2 = r2 < 3 - 1e-8,
+    as (point, value, count), from G's entries alone.
 
-    Every other nonzero integer vector has |a|^2 >= 2, and the search
-    admits a second unit step only from radius^2 >= 2 - 2e-9, so only
-    the unit vectors e_j are in the ball; each scores G_jj exactly.  The
-    smallest G_jj wins, and an exact tie goes to the largest j, which the
-    search enumerates first.  The count is the unit vectors in the
-    ellipsoid f(a) <= min_j G_jj (1 + 1e-9).
+    Every nonzero integer vector but +-e_j and +-e_i +-e_j has |a|^2 >= 3,
+    and the search admits a third unit step only from r2 >= 3 - 2e-9, so
+    the ball holds the unit vectors e_j and, once the search admits a
+    second unit step (floor(sqrt(r2 - 1) + 1e-9) >= 1, from r2 >= 2 -
+    2e-9), the pairs e_i +- e_j, i < j, in canonical sign.  Each is scored
+    by the search's running sum: G_jj for e_j, G_ii - (2 G_ij - G_jj) for
+    e_i - e_j and G_ii + (2 G_ij + G_jj) for e_i + e_j.  A pair's value
+    is at least G_ii + G_jj - 2|G_ij|, so only the pairs whose bound is
+    within limit + 1e-9 (G_ii + G_jj), a margin above the rounding of
+    either sum, are scored; usually none is.  The count is the points
+    whose sum is at most limit = min_j G_jj (1 + 1e-9), the leaves of the
+    search's ellipsoid; where G has no Cholesky factor the search scores
+    every point of the ball instead, so its count can be larger there.
+    The points within 1e-9 of the lowest sum are ranked as the search
+    ranks them: by quad_objective, except a unit vector, whose sum is
+    already G_jj, and an exact tie goes to the first in the search's
+    order: first nonzero coordinate i from n - 1 down to 0, and for each
+    i, e_i - e_j for j ascending, e_i, then e_i + e_j for j descending.
     """
     diag = g_arr.diagonal().tolist()
-    g_jj = min(diag)
-    a = np.zeros(len(diag), dtype=np.int64)
-    a[len(diag) - 1 - diag[::-1].index(g_jj)] = 1
-    cut = g_jj * (1.0 + _SLACK)
-    return a, g_jj, sum(x <= cut for x in diag)
+    n = len(diag)
+    g_min = min(diag)
+    limit = g_min * (1.0 + _SLACK)
+    count = sum(f <= limit for f in diag)
+    # of the unit vectors only the lowest can win, the last on a tie
+    first = n - 1 - diag[::-1].index(g_min)
+    unit = np.zeros(n, dtype=np.int64)
+    unit[first] = 1
+    # (order, f, point) of the pairs with f <= limit
+    pairs = []
+    if math.floor(math.sqrt(r2 - 1.0) + _SLACK):
+        for i, row in enumerate(g_arr.tolist()):
+            g_ii = row[i]
+            for j in range(i + 1, n):
+                g_ij, g_jj = row[j], diag[j]
+                if (g_ii + g_jj) * (1.0 - _SLACK) - 2.0 * abs(g_ij) > limit:
+                    continue
+                for v, f, order in ((-1, g_ii - (2.0 * g_ij - g_jj), (-i, 0, j)),
+                                    (1, g_ii + (2.0 * g_ij + g_jj), (-i, 2, -j))):
+                    if f <= limit:
+                        point = np.zeros(n, dtype=np.int64)
+                        point[i], point[j] = 1, v
+                        pairs.append((order, f, point))
+    if not pairs:
+        return unit, g_min, count
+    low = min(g_min, min(f for _, f, _ in pairs))
+    cut = low + _SLACK * abs(low)
+    near = sorted([((-first, 1, 0), g_min, unit)] + [p for p in pairs if p[1] <= cut])
+    f_g = [f if point is unit else quad_objective(g_arr, point) for _, f, point in near]
+    i = f_g.index(min(f_g))
+    return near[i][2], f_g[i], count + len(pairs)
 
 
 def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUDGET) -> SolverResult:
@@ -226,13 +270,22 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     holds every minimiser; candidates_evaluated counts the points of
     ball and ellipsoid that were scored.  The winner is the lowest by
     quad_objective, the value f_star reports, and ties keep the first
-    vector in lexicographic order, so the result is deterministic.
-    When radius^2 < 2 - 1e-8 the ball holds only unit vectors:
-    _unit_vector_search returns the same vector, and counts the unit
-    vectors in the ellipsoid, without a Cholesky factor or a search.
-    Either way the winner is reported through _solver_result with the
-    value it was ranked by: G_jj for a unit vector e_j, the same bits as
-    quad_objective, and quad_objective's value for any other.  Raises
+    vector in lexicographic order, which is the search's order, so the
+    result is deterministic.  Three paths give that result:
+      - the unit ball, radius^2 < 2 - 1e-8: only the e_j fit;
+      - the pair ball, 2 - 1e-8 <= radius^2 < 3 - 1e-8: only the e_j and
+        the e_i +- e_j fit;
+      - the Fincke-Pohst search (_ellipsoid_search) for any larger ball.
+    _small_ball_search serves both balls from G's entries, without a
+    Cholesky factor or a search, with the search's running sums, tie
+    rule and count: the points whose sum is at most min_j G_jj (1 +
+    1e-9).  The one known exception is a G with no Cholesky factor,
+    where the search counts every point of the ball and so reports a
+    larger count than a small ball does.  Each path reports its winner
+    through _solver_result with the value it was ranked by: G_jj for a
+    unit vector e_j, the same bits as quad_objective, and
+    quad_objective's value for any other.  The ellipsoid is formed at
+    most once a call.  Raises
     ResourceBudgetError when the ball's estimated point count and
     _ellipsoid_point_bound, formed only when that estimate exceeds
     budget, both exceed budget; and ValueError if budget is below 1.
@@ -246,12 +299,16 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
         raise ValueError("radius must be at least 1 and its square finite")
     estimate = ball_point_estimate(g.n, radius)
     g_arr = g.entries
-    if budget is not None and estimate > budget and _ellipsoid_point_bound(g_arr) > budget:
-        raise ResourceBudgetError(
-            f"estimated {estimate:.3e} candidates exceeds budget {budget}"
-        )
-    if radius * radius < 2.0 - 1e-8:
-        point, f, evaluated = _unit_vector_search(g_arr)
+    ellipsoid = None
+    if budget is not None and estimate > budget:
+        ellipsoid = _ellipsoid(g_arr)
+        if _ellipsoid_point_bound(ellipsoid) > budget:
+            raise ResourceBudgetError(
+                f"estimated {estimate:.3e} candidates exceeds budget {budget}"
+            )
+    r2 = radius * radius
+    if r2 < 3.0 - 1e-8:
+        point, f, evaluated = _small_ball_search(g_arr, r2)
     else:
-        point, f, evaluated = _ellipsoid_search(g_arr, radius)
+        point, f, evaluated = _ellipsoid_search(g_arr, radius, ellipsoid)
     return _solver_result(np.asarray(point), f, None, t0, evaluated, 0)

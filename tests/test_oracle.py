@@ -126,6 +126,85 @@ def test_unit_ball_tie_goes_to_the_last_unit_vector(g):
     assert ball.candidates_evaluated == count
 
 
+def _small_ball_grams():
+    """Seeded Gaussian, single-antenna, MIMO and integer-channel Grams; at
+    radius^2 = 2.5 a pair wins on 35 of them, and 23 tie unit vectors
+    exactly."""
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        power = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        m = rng.standard_normal((n, n))
+        yield m @ m.T + 0.1 * np.eye(n)
+        yield build_gram_single(rng.standard_normal(n), power).entries
+        h = rng.standard_normal((n, int(rng.integers(1, 3))))
+        yield build_gram_mimo(MimoChannel(h_matrix=h, power=min(power, 1.0)))[0].entries
+        h = rng.integers(-2, 3, n).astype(float)
+        if h.any():
+            yield build_gram_single(h, power).entries
+
+
+@pytest.mark.parametrize("r2", [2.0 - 1e-8, 2.5, 3.0 - 1.01e-8])
+def test_pair_ball_matches_the_search(r2):
+    radius = float(np.sqrt(r2))
+    for g in _small_ball_grams():
+        res = brute_force_slv(GramMatrix(g), radius)
+        point, f, count = _ellipsoid_search(g, radius)
+        assert res.a_star.entries.tolist() == point
+        assert res.f_star.hex() == f.hex()
+        assert res.candidates_evaluated == count
+
+
+@pytest.mark.parametrize("g, winner", [
+    # all three e_i - e_j score 2 < 3; e_1 - e_2 comes first (largest i)
+    ([[3.0, 2.0, 2.0], [2.0, 3.0, 2.0], [2.0, 2.0, 3.0]], [0, 1, -1]),
+    # e_0 - e_1 and e_0 - e_2 score 2; e_i - e_j for j ascending
+    ([[3.0, 2.0, 2.0], [2.0, 3.0, 0.0], [2.0, 0.0, 3.0]], [1, -1, 0]),
+    # e_0 + e_1 and e_0 + e_2 score 2; e_i + e_j for j descending
+    ([[3.0, -2.0, -2.0], [-2.0, 3.0, 0.0], [-2.0, 0.0, 3.0]], [1, 0, 1]),
+], ids=["largest-i", "minus-j-ascending", "plus-j-descending"])
+def test_pair_ball_tie_goes_to_the_first_pair_searched(g, winner):
+    g = np.array(g)
+    res = brute_force_slv(GramMatrix(g), np.sqrt(2.5))
+    point, f, count = _ellipsoid_search(g, np.sqrt(2.5))
+    assert res.a_star.entries.tolist() == point == winner
+    assert res.f_star == f == 2.0
+    assert res.candidates_evaluated == count
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """The shapes np.linalg.cholesky is called on during the test."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+def test_small_balls_run_no_cholesky_up_to_the_pair_edge(factorisations):
+    # the last radius with radius^2 < 3 - 1e-8 takes the pair ball, the
+    # next float the search, and every radius gives the search's result
+    below = float(np.sqrt(3.0 - 1e-8))
+    while below * below >= 3.0 - 1e-8:
+        below = float(np.nextafter(below, 0.0))
+    while float(np.nextafter(below, 4.0)) ** 2 < 3.0 - 1e-8:
+        below = float(np.nextafter(below, 4.0))
+    at = float(np.nextafter(below, 4.0))
+    g = build_gram_single(np.array([1.0, -0.8, 0.6, 0.3]), 4.0)
+    for radius, calls in ((1.0, 0), (np.sqrt(2.0 - 1e-8), 0), (1.5, 0), (below, 0), (at, 1)):
+        point, f, count = _ellipsoid_search(g.entries, radius)
+        factorisations.clear()
+        res = brute_force_slv(g, radius)
+        assert len(factorisations) == calls
+        assert res.a_star.entries.tolist() == point
+        assert (res.f_star, res.candidates_evaluated) == (f, count)
+
+
 def test_only_tied_leaves_past_the_unit_vectors_are_rescored(monkeypatch):
     rescored = []
 
@@ -137,6 +216,12 @@ def test_only_tied_leaves_past_the_unit_vectors_are_rescored(monkeypatch):
     # (0, 1, -1) ties e_1 and e_0 at f = 2 exactly and is enumerated first
     g = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.5], [0.0, 1.5, 3.0]])
     assert _ellipsoid_search(g, 2.0)[0] == [0, 1, -1]
+    assert rescored == [[0, 1, -1]]
+    # the pair ball, radius^2 = 2.5, scores the same three points
+    rescored.clear()
+    res = brute_force_slv(GramMatrix(g), np.sqrt(2.5))
+    assert res.a_star.entries.tolist() == [0, 1, -1]
+    assert (res.f_star, res.candidates_evaluated) == (2.0, 3)
     assert rescored == [[0, 1, -1]]
     # a unit vector's running sum is already G_jj, bit for bit
     rescored.clear()
@@ -160,6 +245,13 @@ def test_ball_only_when_cholesky_fails():
     assert res.a_star.entries.tolist() == [1, -1]
     assert res.f_star == 2.0**-52
     assert res.candidates_evaluated == 6
+    # the pair ball finds the same point, but counts only the 3 points
+    # with f <= min_j G_jj (1 + 1e-9), where the search scores all 4
+    small = brute_force_slv(g, 1.5)
+    assert small.a_star.entries.tolist() == [1, -1]
+    assert small.f_star == 2.0**-52
+    assert small.candidates_evaluated == 3
+    assert _ellipsoid_search(g.entries, 1.5)[2] == 4
 
 
 def test_deep_search_needs_no_recursion():
@@ -170,11 +262,15 @@ def test_deep_search_needs_no_recursion():
 
 
 def test_deep_search_past_the_unit_vectors():
-    # radius^2 = 2.25 takes the search itself 1500 levels deep
+    # radius^2 = 2.25 is in the pair ball; the search itself goes 1500
+    # levels deep to the same point and count
     n = 1500
     res = brute_force_slv(GramMatrix(np.eye(n)), 1.5)
     assert res.a_star.entries.tolist() == [0] * (n - 1) + [1]
     assert res.candidates_evaluated == n
+    point, _, count = _ellipsoid_search(np.eye(n), 1.5)
+    assert point == [0] * (n - 1) + [1]
+    assert count == n
 
 
 def _adversarial_grams():
@@ -236,6 +332,14 @@ def test_budget_allows_a_huge_ball_with_a_small_ellipsoid():
     assert brute_force_slv(g, 200.0, budget=3**8).f_star == ref.f_star
     with pytest.raises(ResourceBudgetError, match="^estimated 5.195e[+]18 candidates exceeds budget 6560$"):
         brute_force_slv(g, 200.0, budget=3**8 - 1)
+
+
+@pytest.mark.parametrize("radius", [200.0, 3.5])
+def test_one_factorisation_per_call(factorisations, radius):
+    # past the ball estimate the budget check forms the ellipsoid, and
+    # the search reuses it; below the estimate only the search forms it
+    brute_force_slv(build_gram_single(np.ones(8), 1.0), radius)
+    assert factorisations == [(8, 8)]
 
 
 @pytest.mark.parametrize("budget", [0, -3])
