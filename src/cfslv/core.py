@@ -7,6 +7,7 @@ their invariants once at construction so the solvers can stay lean.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -15,6 +16,8 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 RANK_SV_RTOL = 1e-10
+# _unit_vector's cache: every e_j of every n <= 15 fits
+UNIT_CACHE_SIZE = 128
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -198,7 +201,11 @@ class SolverResult:
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
     for k = 1 and the vertex of that tie rule for k >= 2.  A solve that
     searches nothing, by solver_single._skip_or_search's rule, reports
-    candidates_evaluated = n and breakpoint_count = 0.
+    candidates_evaluated = n and breakpoint_count = 0.  A unit winner's
+    a_star is shared: every result won by e_j of length n holds the one
+    CoefficientVector _unit_vector caches for (n, j), whose entries no
+    caller can make writeable.  Any other a_star is a fresh array of its
+    own result.
     """
 
     a_star: CoefficientVector
@@ -265,30 +272,59 @@ def canonical_sign(a) -> CoefficientVector:
     return a if first > 0 else _unchecked(CoefficientVector, entries=_freeze(-a.entries))
 
 
-def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
-    """The unit vector e_j with the smallest G_jj, as (G_jj, e_j).
+@functools.lru_cache(maxsize=UNIT_CACHE_SIZE)
+def _unit_vector(n: int, j: int) -> CoefficientVector:
+    """The unit vector e_j of length n, built and checked by
+    CoefficientVector once, and cached.
+
+    Every unit winner reports this one object as its a_star, so its
+    entries are re-backed by an immutable bytes buffer: setflags(write=
+    True) raises on them, on every view of them and through .base, and
+    no holder can change what another holds.  e_j is in canonical sign.
+    """
+    a = CoefficientVector(np.eye(1, n, j, dtype=np.int64)[0])
+    object.__setattr__(a, "entries", np.frombuffer(a.entries.tobytes(), dtype=np.int64))
+    return a
+
+
+def _best_unit(g_entries: np.ndarray) -> tuple[float, CoefficientVector]:
+    """The unit vector e_j with the smallest G_jj, as (G_jj,
+    _unit_vector(n, j)).
 
     Both solvers start from it; the first j wins a tie.
     """
     diag = g_entries.diagonal()
     j = int(diag.argmin())
-    a = np.zeros(diag.size, dtype=np.int64)
-    a[j] = 1
-    return float(diag[j]), a
+    return float(diag[j]), _unit_vector(diag.size, j)
 
 
-def _solver_result(best_a: np.ndarray, f_star: float, witness: np.ndarray | None,
-                   t0: float, candidates_evaluated: int, breakpoint_count: int) -> SolverResult:
-    """The SolverResult of every winner best_a, a unit vector or a
-    search's pick (_lowest_on_g's rule): best_a in canonical sign, the
-    witness negated with it, elapsed time since t0, and f_star the value
-    best_a scored on G when picked, which is that of a_star too: negating
-    a vector negates v G and v exactly.  For e_j that value is G_jj, read
-    from the diagonal, quad_objective(G, e_j) bit for bit."""
-    a = CoefficientVector(best_a)
-    a_star = canonical_sign(a)
-    if witness is not None and a_star is not a:
-        witness = -witness
+def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
+    """_best_unit's (G_jj, e_j), with e_j as its read-only int64 entries."""
+    best_f, e_j = _best_unit(g_entries)
+    return best_f, e_j.entries
+
+
+def _solver_result(best_a: np.ndarray | CoefficientVector, f_star: float,
+                   witness: np.ndarray | None, t0: float, candidates_evaluated: int,
+                   breakpoint_count: int) -> SolverResult:
+    """The SolverResult of every winner best_a, with elapsed time since
+    t0 and f_star the value best_a scored on G when picked.
+
+    A unit vector winner is passed as _unit_vector's cached e_j, already
+    checked and in canonical sign, and becomes a_star as it is: no
+    allocation, copy or sign pass, and its f_star is G_jj, read from the
+    diagonal, quad_objective(G, e_j) bit for bit.  Any other winner, a
+    search's pick (_lowest_on_g's rule), is passed as an array and goes
+    through CoefficientVector and canonical_sign into a fresh a_star,
+    the witness negated with it; f_star is that of a_star too, as
+    negating a vector negates v G and v exactly."""
+    if isinstance(best_a, CoefficientVector):
+        a_star = best_a
+    else:
+        a = CoefficientVector(best_a)
+        a_star = canonical_sign(a)
+        if witness is not None and a_star is not a:
+            witness = -witness
     return SolverResult(
         a_star=a_star,
         f_star=f_star,

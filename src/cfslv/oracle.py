@@ -19,11 +19,13 @@ import time
 import numpy as np
 
 from .core import (
+    CoefficientVector,
     SolverResult,
     as_gram_matrix,
     quad_objective,
     _check_budget,
     _solver_result,
+    _unit_vector,
 )
 from .errors import ResourceBudgetError
 from .gram import _radius_eigenvalue
@@ -204,9 +206,11 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float,
     return leaves[i][1], f_g[i], evaluated
 
 
-def _small_ball_search(g_arr: np.ndarray, r2: float) -> tuple[np.ndarray, float, int]:
+def _small_ball_search(g_arr: np.ndarray, r2: float
+                       ) -> tuple[CoefficientVector | np.ndarray, float, int]:
     """_ellipsoid_search's result for a ball with radius^2 = r2 < 3 - 1e-8,
-    as (point, value, count), from G's entries alone.
+    as (point, value, count), from G's entries alone: a unit point as
+    core._unit_vector's cached e_j, a pair as an array.
 
     Every nonzero integer vector but +-e_j and +-e_i +-e_j has |a|^2 >= 3,
     and the search admits a third unit step only from r2 >= 3 - 2e-9, so
@@ -234,8 +238,7 @@ def _small_ball_search(g_arr: np.ndarray, r2: float) -> tuple[np.ndarray, float,
     count = sum(f <= limit for f in diag)
     # of the unit vectors only the lowest can win, the last on a tie
     first = n - 1 - diag[::-1].index(g_min)
-    unit = np.zeros(n, dtype=np.int64)
-    unit[first] = 1
+    unit = _unit_vector(n, first)
     # (order, f, point) of the pairs with f <= limit
     pairs = []
     if math.floor(math.sqrt(r2 - 1.0) + _SLACK):
@@ -284,7 +287,9 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     larger count than a small ball does.  Each path reports its winner
     through _solver_result with the value it was ranked by: G_jj for a
     unit vector e_j, the same bits as quad_objective, and
-    quad_objective's value for any other.  The ellipsoid is formed at
+    quad_objective's value for any other.  A unit winner is reported as
+    core._unit_vector's cached, immutable e_j, shared by every result it
+    wins; any other gets an a_star of its own.  The ellipsoid is formed at
     most once a call.  Raises
     ResourceBudgetError when the ball's estimated point count and
     _ellipsoid_point_bound, formed only when that estimate exceeds
@@ -310,5 +315,6 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     if r2 < 3.0 - 1e-8:
         point, f, evaluated = _small_ball_search(g_arr, r2)
     else:
-        point, f, evaluated = _ellipsoid_search(g_arr, radius, ellipsoid)
-    return _solver_result(np.asarray(point), f, None, t0, evaluated, 0)
+        leaf, f, evaluated = _ellipsoid_search(g_arr, radius, ellipsoid)
+        point = _unit_vector(g.n, leaf.index(1)) if _is_unit(leaf) else np.asarray(leaf)
+    return _solver_result(point, f, None, t0, evaluated, 0)

@@ -25,7 +25,7 @@ from .core import (
     SolverResult,
     as_channel_vector,
     quad_objective,
-    _best_unit_vector,
+    _best_unit,
     _check_budget,
     _solver_result,
 )
@@ -179,11 +179,13 @@ def _skip_or_search(gram: GramMatrix, k: int, budget: int | None, t0: float,
     the search could not refuse (see _norm_ceiling); the search's other
     refusals apply only where it runs.  Otherwise search returns _Found,
     and the counts are n + its scored candidates and its breakpoint
-    count.  elapsed_seconds runs from t0.
+    count.  elapsed_seconds runs from t0.  A unit winner, skipped or
+    kept by the search, is reported as core._unit_vector's cached,
+    immutable e_j.
     """
     g_arr = gram.entries
     n = g_arr.shape[0]
-    best_f, best_a = _best_unit_vector(g_arr)
+    best_f, best_a = _best_unit(g_arr)
     lam_min = _radius_eigenvalue(gram)
     cmax, may_skip = _norm_ceiling(best_f, lam_min, n, k, budget)
     if may_skip and _unit_vector_certified(g_arr, best_f, lam_min):

@@ -1,5 +1,9 @@
 """Core types, the quadratic objective, and sign conventions."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,12 @@ from cfslv.core import (
     canonical_sign,
     quad_objective,
     quadratic_form,
+    UNIT_CACHE_SIZE,
     _solver_result,
+    _unit_vector,
 )
+import cfslv.bench
+from cfslv.bench import BenchConfig, run_trial
 from cfslv.errors import ConvergenceError
 from cfslv.gram import MimoChannel, build_gram_mimo, build_gram_single
 from cfslv.oracle import brute_force_slv
@@ -281,6 +289,9 @@ UNIT_WINNER_PATHS = {
     "solve_dpk found nothing k=1": (lambda: _dpk([[3.0], [1.0]], 2.0), 0, True),
     "solve_dpk found nothing k=2": (lambda: _dpk([[1.0, 0.5], [0.5, 1.0], [0.0, 2.0]], 3.0), 2, True),
     "oracle unit ball": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.2), 2, False),
+    # radius^2 = 2.5: e_0 - e_1 ties both unit vectors at f = 1 exactly; e_1 stays
+    "oracle pair ball": (lambda: _oracle(GramMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])), 2.5**0.5),
+                         1, False),
     "oracle unit leaf": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.5), 2, True),
     "oracle unit leaf, dense G": (lambda: _oracle(build_gram_single([2.0, 1.0, 0.5], 1.0), 2.0), 0, True),
 }
@@ -307,10 +318,104 @@ def test_unit_winner_matches_solver_result(path):
     else:
         assert (res.breakpoint_count > 0) == searched
         assert res.candidates_evaluated >= gram.n
-    # each result owns its a_star: two runs share no array
+    # the unit a_star is the one cached, immutable vector
     again = run()[0]
+    assert again.a_star is res.a_star is _unit_vector(gram.n, j)
+    for entries in res.a_star.entries, res.a_star.entries[:], res.a_star.entries.view():
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            entries.setflags(write=True)
+
+
+def test_unit_vector_cache_is_bounded_and_checked():
+    e = _unit_vector(4, 2)
+    assert e.entries.tolist() == [0, 0, 1, 0] and e.entries.dtype == np.int64
+    # the entries rest on an immutable buffer, which no view can write through
+    assert isinstance(e.entries.base, bytes)
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        e.entries[1:].setflags(write=True)
+    # every cached vector is built through CoefficientVector's checks
+    with pytest.raises(ValueError, match="^coefficient vector must be nonzero$"):
+        _unit_vector(3, 3)
+    with pytest.raises(ValueError, match="^coefficients must form a one-dimensional vector$"):
+        _unit_vector(0, 0)
+    for n in range(1, 20):
+        for j in range(n):
+            assert _unit_vector(n, j).entries.tolist() == np.eye(n, dtype=np.int64)[j].tolist()
+    info = _unit_vector.cache_info()
+    assert info.maxsize == UNIT_CACHE_SIZE
+    assert info.currsize == UNIT_CACHE_SIZE < 19 * 20 // 2
+
+
+# solves whose winner is not a unit vector
+SEARCH_WINNER_PATHS = {
+    "solve_single": lambda: _solve_single([1.0, 1.0], 2.0)[0],
+    "solve_dpk k=1": lambda: _dpk([[1.0], [1.0]], 2.0)[0],
+    "solve_dpk k=2": lambda: _dpk([[1.0, 0.5], [1.0, 0.5], [0.5, 1.0]], 3.0)[0],
+}
+
+
+@pytest.mark.parametrize("path", list(SEARCH_WINNER_PATHS))
+def test_search_winner_owns_its_a_star(path):
+    # a search's pick goes through CoefficientVector and canonical_sign
+    # into an array of its result's own
+    res, again = SEARCH_WINNER_PATHS[path](), SEARCH_WINNER_PATHS[path]()
+    assert np.count_nonzero(res.a_star.entries) > 1
+    assert res.a_star.entries.tolist() == again.a_star.entries.tolist()
     assert again.a_star is not res.a_star
     assert not np.shares_memory(again.a_star.entries, res.a_star.entries)
+
+
+def test_threads_report_equal_immutable_unit_vectors(monkeypatch):
+    # run_trial in several threads at once: every solve and oracle call
+    # reports the a_star of a serial run, and a unit a_star stays immutable
+    seen = {}
+
+    def recording(fn, pick):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.setdefault(threading.get_ident(), []).append(pick(out).a_star)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(cfslv.bench, "_solve_channel",
+                        recording(cfslv.bench._solve_channel, lambda out: out[0]))
+    monkeypatch.setattr(cfslv.bench, "brute_force_slv",
+                        recording(cfslv.bench.brute_force_slv, lambda out: out))
+    configs = [BenchConfig(mode="single", trials=40, n_range=(2, 6), power_range=(0.1, 10.0),
+                           seed=7, oracle=True),
+               BenchConfig(mode="mimo", trials=40, n_range=(2, 6), power_range=(0.1, 1.0),
+                           seed=7, oracle=True)]
+
+    def run_all():
+        for config in configs:
+            for i in range(config.trials):
+                run_trial(config, i)
+        return seen[threading.get_ident()]
+
+    start = threading.Barrier(4)
+
+    def run_together(_):
+        start.wait(timeout=60)
+        return run_all()
+
+    # switch threads often, so that trials of different threads interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(run_together, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [a.entries.tolist() for a in run_all()]
+    units = 0
+    for run in runs:
+        assert [a.entries.tolist() for a in run] == serial
+        for a in run:
+            if np.count_nonzero(a.entries) == 1:
+                units += 1
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    a.entries.setflags(write=True)
+    assert units >= 4 * len(serial) // 2
 
 
 def test_convergence_error_is_a_runtime_error():

@@ -229,6 +229,17 @@ def test_only_tied_leaves_past_the_unit_vectors_are_rescored(monkeypatch):
     assert rescored == []
 
 
+@pytest.mark.parametrize("radius", [1.5, 2.0], ids=["pair-ball", "search"])
+def test_pair_winner_owns_its_a_star(radius):
+    # [1, 1] scores 2 < G_jj = 3: a non-unit winner gets an array of its
+    # result's own, where a unit winner shares core._unit_vector's
+    g = GramMatrix(np.array([[3.0, -2.0], [-2.0, 3.0]]))
+    res, again = brute_force_slv(g, radius), brute_force_slv(g, radius)
+    assert res.a_star.entries.tolist() == again.a_star.entries.tolist() == [1, 1]
+    assert again.a_star is not res.a_star
+    assert not np.shares_memory(again.a_star.entries, res.a_star.entries)
+
+
 def test_tiny_diagonal_entry():
     res = brute_force_slv(GramMatrix(np.diag([1.0, 1e-13])), 3.0)
     assert res.a_star.entries.tolist() == [0, 1]
