@@ -32,8 +32,10 @@ from .bench import (
 from .core import CoefficientVector, GramMatrix, SolverResult
 from .errors import ResourceBudgetError
 from .gram import search_radius_psi
-from .oracle import brute_force_slv
+from .oracle import DEFAULT_ORACLE_BUDGET, brute_force_slv
 from .rate import computation_rate
+from .solver_dpk import DEFAULT_COMBINATION_BUDGET
+from .solver_single import DEFAULT_BREAKPOINT_BUDGET
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -235,10 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("single", "mimo"), default="single")
     p.add_argument("--k", type=int, default=1, help="receive antennas (mimo mode)")
     p.add_argument("--oracle", action="store_true", help="certify each trial exhaustively")
+    defaults = ", ".join(f"{budget:.0e} {what}".replace("e+0", "e") for budget, what in (
+        (DEFAULT_BREAKPOINT_BUDGET, "single"), (DEFAULT_COMBINATION_BUDGET, "mimo"),
+        (DEFAULT_ORACLE_BUDGET, "oracle")))
     p.add_argument("--budget", type=int, default=None,
                    help="one enumeration budget for the solver and the oracle alike; "
-                        "left out, each keeps its default (1e7 single, 2e7 mimo, "
-                        "1e9 oracle); it cannot disable them")
+                        f"left out, each keeps its default ({defaults}); it cannot disable them")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-timing", action="store_true", help="zero timing columns")

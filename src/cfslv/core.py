@@ -201,7 +201,10 @@ class SolverResult:
     |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
     for k = 1 and the vertex of that tie rule for k >= 2.  A solve that
     searches nothing, by solver_single._skip_or_search's rule, reports
-    candidates_evaluated = n and breakpoint_count = 0.  A unit winner's
+    candidates_evaluated = n and breakpoint_count = 0; a search counts
+    its crossings for k = 1, and for k >= 2 the vertex labels it solved,
+    each scoring 2^k cells: candidates_evaluated = n + 2^k
+    breakpoint_count.  A unit winner's
     a_star is shared: every result won by e_j of length n holds the one
     CoefficientVector _unit_vector caches for (n, j), whose entries no
     caller can make writeable.  Any other a_star is a fresh array of its
@@ -296,12 +299,6 @@ def _best_unit(g_entries: np.ndarray) -> tuple[float, CoefficientVector]:
     diag = g_entries.diagonal()
     j = int(diag.argmin())
     return float(diag[j]), _unit_vector(diag.size, j)
-
-
-def _best_unit_vector(g_entries: np.ndarray) -> tuple[float, np.ndarray]:
-    """_best_unit's (G_jj, e_j), with e_j as its read-only int64 entries."""
-    best_f, e_j = _best_unit(g_entries)
-    return best_f, e_j.entries
 
 
 def _solver_result(best_a: np.ndarray | CoefficientVector, f_star: float,

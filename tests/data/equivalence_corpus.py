@@ -5,7 +5,7 @@ Usage, from the repository root of each checkout to compare:
     PYTHONPATH=src python tests/data/equivalence_corpus.py > corpus.jsonl
 
 Running it on two checkouts and comparing the two files with `diff`
-lists every solve or oracle call whose output moved.  Three sections
+lists every solve or oracle call whose output moved.  Four sections
 of 3000 draws each, `seed` 0..2999, run in this order:
 
   - rank k: trial_rng(seed, 0) draws k = 2 or 3, n = k..k + 3 and P
@@ -14,21 +14,26 @@ of 3000 draws each, `seed` 0..2999, run in this order:
     in 0.1..10, and solve_single solves h (a line's head says
     "solver": "solve_single");
   - rank one: trial_rng(seed, 2 << 16) draws k = 1, n = 2..6 and P
-    log-uniform in 0.1..5, and build_gram_mimo and solve_dpk solve H.
+    log-uniform in 0.1..5, and build_gram_mimo and solve_dpk solve H;
+  - rank k, parallel or zero row: trial_rng(seed, 3 << 16) draws as the
+    rank k section does, from its own channel kinds.
 
-By seed % 4 the channel is Gaussian, integer (-2..2), half-integer
-(-3/2..3/2) or negated-row (Gaussian, with one row, or one entry of h,
-set to minus another).  Each draw is solved at budgets None, 2 000 and
-the solver's default (2e7 for solve_dpk, 1e7 for solve_single).  A line
-holds the draw and the budget, then a_star, f_star as float.hex, both
-counts and the witness as float.hex, or the type and message of the
-exception the solve raised.  Where the solve at budget None returns, two
+In the first three sections, by seed % 4 the channel is Gaussian,
+integer (-2..2), half-integer (-3/2..3/2) or negated-row (Gaussian,
+with one row, or one entry of h, set to minus another).  In the fourth,
+by seed % 4 it is Gaussian with one row set to twice another
+(parallel-row) or to zero (zero-row), or integer with the same
+(integer-parallel-row, integer-zero-row).  Each draw is solved at
+budgets None, 2 000 and the solver's default (2e7 for solve_dpk, 1e7
+for solve_single).  A line holds the draw and the budget, then a_star,
+f_star as float.hex, both counts and the witness as float.hex, or the
+type and message of the exception the solve raised.  Where the solve at budget None returns, two
 more lines certify its G (build_gram_single's for solve_single) with
 brute_force_slv at the default oracle budget: one at
 certification_radius(G, f_star) of that solve, and one at radius
 sqrt(2.5), inside the oracle's pair ball.  Each holds the draw and which
 radius, then the radius, a_star and f_star as float.hex and
-candidates_evaluated, or the exception raised.  The 45 000 lines take
+candidates_evaluated, or the exception raised.  The 60 000 lines take
 about 12 s on one core of a shared Intel Xeon.
 """
 
@@ -47,20 +52,22 @@ from cfslv.solver_single import DEFAULT_BREAKPOINT_BUDGET, solve_single
 
 DRAWS = 3000
 KINDS = ("gaussian", "integer", "half-integer", "negated-row")
+DEGENERATE_KINDS = ("parallel-row", "zero-row", "integer-parallel-row", "integer-zero-row")
 # per section: the trial_rng stream, the range of k (None for a vector
-# h) and the largest P
+# h), the largest P and the channel kinds
 SECTIONS = {
-    "rank-k": (0, (2, 3), 5.0),
-    "single": (1 << 16, None, 10.0),
-    "rank-one": (2 << 16, (1, 1), 5.0),
+    "rank-k": (0, (2, 3), 5.0, KINDS),
+    "single": (1 << 16, None, 10.0, KINDS),
+    "rank-one": (2 << 16, (1, 1), 5.0, KINDS),
+    "rank-k-parallel": (3 << 16, (2, 3), 5.0, DEGENERATE_KINDS),
 }
 
 
 def draw(seed: int, section: str = "rank-k") -> tuple[str, np.ndarray, float]:
     """The channel kind, H (h for "single") and P of draw seed."""
-    stream, ks, p_max = SECTIONS[section]
+    stream, ks, p_max, kinds = SECTIONS[section]
     rng = trial_rng(seed, stream)
-    kind = KINDS[seed % len(KINDS)]
+    kind = kinds[seed % len(kinds)]
     if ks is None:
         n = int(rng.integers(2, 7))
         shape = (n,)
@@ -68,15 +75,20 @@ def draw(seed: int, section: str = "rank-k") -> tuple[str, np.ndarray, float]:
         k = int(rng.integers(ks[0], ks[1] + 1))
         n = int(rng.integers(k, k + 4)) if k > 1 else int(rng.integers(2, 7))
         shape = (n, k)
-    if kind == "integer":
+    if kind.startswith("integer"):
         h = rng.integers(-2, 3, shape).astype(float)
     elif kind == "half-integer":
         h = rng.integers(-3, 4, shape) / 2.0
     else:
         h = rng.standard_normal(shape)
-    if kind == "negated-row":
+    if kind.endswith("-row"):
         i, j = rng.choice(n, 2, replace=False)
-        h[j] = -h[i]
+        if kind == "negated-row":
+            h[j] = -h[i]
+        elif kind.endswith("parallel-row"):
+            h[j] = 2.0 * h[i]
+        else:
+            h[j] = 0.0
     power = float(math.exp(rng.uniform(math.log(0.1), math.log(p_max))))
     return kind, h, power
 

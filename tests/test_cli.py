@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import cfslv.cli
 from cfslv.cli import main, parse_vector, read_matrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -189,6 +190,17 @@ def test_mimo_budget_exit_code(tmp_path, capsys, budget, message):
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_bench_budget_help_names_the_default_budgets(monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert "(1e7 single, 2e7 mimo, 1e9 oracle)" in " ".join(capsys.readouterr().out.split())
+    # the help reads the constants the solvers and the oracle default to
+    monkeypatch.setattr(cfslv.cli, "DEFAULT_COMBINATION_BUDGET", 3 * 10**7)
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert "(1e7 single, 3e7 mimo, 1e9 oracle)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_rounding_singular_gram_is_input_error(capsys):

@@ -16,7 +16,7 @@ from cfslv.core import (
     canonical_sign,
     quad_objective,
     quadratic_form,
-    _best_unit_vector,
+    _best_unit,
 )
 from cfslv.errors import ResourceBudgetError
 from cfslv.gram import (
@@ -28,7 +28,7 @@ from cfslv.gram import (
     validate_dpk,
 )
 from cfslv.oracle import brute_force_slv, certification_radius
-from cfslv.solver_dpk import _vertex_cells, _vertex_labels, _vertex_search, solve_dpk
+from cfslv.solver_dpk import _vertex_labels, _vertex_search, solve_dpk
 from cfslv.solver_single import (
     _norm_ceiling,
     _rank_one_search,
@@ -48,19 +48,26 @@ def cmax_of(gram, dec):
 
 
 def vertex_set(dec, cmax):
-    """The distinct vertices _vertex_labels finds: every generic vertex in
-    label order, then one copy of each degenerate vertex in merged order."""
-    verts = _vertex_labels(dec, cmax)
-    generic = verts.x.transpose(0, 2, 1)[verts.generic]
-    return np.vstack([generic, verts.at(verts.x, verts.merged)])
+    """The vertex of every label _vertex_labels solves, in label order."""
+    return _vertex_labels(dec, cmax, None).x.transpose(0, 2, 1).reshape(-1, dec.k)
+
+
+def label_cells(verts, flat):
+    """The 2^k cells of label flat = (s, r), as _vertex_search builds them."""
+    k = verts.rows.shape[1]
+    s, r = divmod(flat, verts.c.shape[0])
+    cells = np.repeat(verts.at(verts.base, np.array([flat])), 1 << k, axis=0)
+    cells[:, verts.rows[s]] = verts.w[r << k:(r + 1) << k]
+    return cells
 
 
 def test_vertex_set_rank_one():
     verts = vertex_set(rank_one_dec(), 2)
-    # both coordinate subsets give the same line positions c * 5 / sqrt(2)
+    # both coordinate subsets give the same line positions c * 5 / sqrt(2),
+    # and each keeps its own label there
     expected = sorted(c * 5.0 / np.sqrt(2.0) for c in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5))
-    assert verts.shape[0] == 6
-    assert np.allclose(verts[:, 0], expected)
+    assert verts.shape[0] == 12
+    assert np.allclose(verts[:, 0], expected * 2)
 
 
 def test_vertex_set_skips_zero_rows():
@@ -104,11 +111,9 @@ def test_vertex_set_matches_per_subset_solves():
             if sv[-1] > 1e-10 * sv[0]:
                 solved.append(np.linalg.solve(sub, rhs).T)
         solved = np.vstack(solved)
-        # every vertex is one of the solutions, bit for bit, and every
-        # solution lies within the 1e-9 merge distance of a vertex
-        assert {p.tobytes() for p in verts} <= {p.tobytes() for p in solved}
-        gaps = np.linalg.norm(solved[:, None, :] - verts[None, :, :], axis=2).min(axis=1)
-        assert gaps.max() <= 1e-9
+        # every label keeps its own vertex: the subset's solution, bit
+        # for bit, in label order
+        assert np.array_equal(verts, solved)
 
 
 def test_solve_matches_single_antenna_solution():
@@ -334,34 +339,71 @@ def test_candidate_budget_counts_before_building():
     # three lines of different directions meet at (1/2, 1/2); the fourth
     # row, opposite to the first, passes through it too
     dec = ratio_dec([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.0]])
-    ratios = dec.v / dec.d[:, None]
-    verts = _vertex_labels(dec, 1)
-    cand, owner = _vertex_cells(verts, ratios, budget=None)
-    point = [i for i, x in enumerate(verts.at(verts.x, verts.merged)) if np.allclose(x, 0.5)]
-    assert len(point) == 1
-    mine = cand[owner == point[0]]
-    assert mine.shape[0] == 8
+    verts = _vertex_labels(dec, 1, None)
+    # rows 0 and 3 are parallel, so 5 of the 6 row pairs are solved, at
+    # 4^2 right-hand sides each, and all 5 have a label at that point
+    assert verts.count == 5 * 16
+    point = [i for i, x in enumerate(vertex_set(dec, 1)) if np.allclose(x, 0.5)]
+    assert len(point) == 5
+    # a line of row 0 or 3 lies on one of the other, and row 0 passes
+    # through every vertex of rows 1 and 2: no label is simple
+    assert verts.simple == 0
+    mine = np.vstack([label_cells(verts, i) for i in point])
     # rows 0 and 3 are antiparallel: one takes its upper neighbour when
-    # the other takes its lower one
-    assert set(map(tuple, mine[:, [0, 3]].tolist())) == {(0.0, 0.0), (1.0, -1.0)}
-    # the budget covers these cells and 2^k = 4 at each generic vertex
-    total = cand.shape[0] + 4 * np.count_nonzero(verts.generic)
-    assert _vertex_cells(verts, ratios, budget=total)[0].shape == cand.shape
+    # the other takes its lower one, and both take their lower one in the
+    # sliver between their moved hyperplanes x_1 = 1/2 + eps sqrt(2) and
+    # x_1 = 1/2 - eps sqrt(7)
+    assert set(map(tuple, mine[:, [0, 3]].tolist())) == {(0.0, 0.0), (1.0, -1.0), (0.0, -1.0)}
+    # the budget covers 2^k = 4 cells at each label, counted before any is solved
+    total = 4 * verts.count
+    assert _vertex_labels(dec, 1, total).count == verts.count
     with pytest.raises(ResourceBudgetError, match=f"^{total} vertex cells exceed budget {total - 1}$"):
-        _vertex_cells(verts, ratios, budget=total - 1)
+        _vertex_labels(dec, 1, total - 1)
+
+
+def channel_matrix(rng, kind, n, k):
+    """An n x k channel: Gaussian, integer (-2..2), half-integer
+    (-3/2..3/2), or Gaussian with one row set to minus another."""
+    if kind == "integer":
+        return rng.integers(-2, 3, (n, k)).astype(float)
+    if kind == "half-integer":
+        return rng.integers(-3, 4, (n, k)) / 2.0
+    h = rng.standard_normal((n, k))
+    if kind == "negated-row":
+        i, j = rng.choice(n, 2, replace=False)
+        h[j] = -h[i]
+    return h
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_generic_vertices_score_two_to_the_k_cells(k):
+    # integer, half-integer and negated rows put more than k hyperplanes
+    # through many vertices, most of them in the half-integer k = 2,
+    # n 12-16 family; each label still scores its own 2^k cells
+    families = [(kind, k + 1, 6 if k == 2 else 5, 0.3, 5.0, 15)
+                for kind in ("gaussian", "integer", "half-integer", "negated-row")]
+    if k == 2:
+        families.append(("half-integer", 12, 16, 0.1, 1.0, 40))
     rng = np.random.default_rng(127 + k)
-    for _ in range(15):
-        n = int(rng.integers(k + 1, 7 if k == 2 else 6))
-        channel = MimoChannel(h_matrix=rng.standard_normal((n, k)),
-                              power=float(np.exp(rng.uniform(np.log(0.1), np.log(3.0)))))
-        gram, dec = build_gram_mimo(channel)
-        res = solve_dpk(gram, dec, budget=None)
-        # Gaussian rows put no third hyperplane through a vertex
-        assert res.candidates_evaluated == n + 2 ** k * res.breakpoint_count
+    searched = 0
+    for kind, n_lo, n_hi, p_lo, p_hi, count in families:
+        for _ in range(count):
+            n = int(rng.integers(n_lo, n_hi + 1))
+            channel = MimoChannel(h_matrix=channel_matrix(rng, kind, n, k),
+                                  power=float(np.exp(rng.uniform(np.log(p_lo), np.log(p_hi)))))
+            gram, dec = build_gram_mimo(channel)
+            if dec is None:
+                continue
+            res = solve_dpk(gram, dec, budget=None)
+            # a skipped solve reads (n, 0), which satisfies this too
+            assert res.candidates_evaluated == n + 2 ** k * res.breakpoint_count
+            searched += res.breakpoint_count > 0
+            oracle = brute_force_slv(gram, certification_radius(gram, res.f_star), budget=None)
+            assert abs(res.f_star - oracle.f_star) <= 1e-9 * max(1.0, oracle.f_star)
+            if res.witness_point is not None:
+                image = (dec.v / dec.d[:, None]) @ res.witness_point
+                assert np.all(np.abs(image - res.a_star.entries) <= 0.5 + 1e-9)
+    assert searched >= (60 if k == 2 else 30)
 
 
 DEGENERATE_RATIOS = {
@@ -386,13 +428,13 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
     gram = GramMatrix(np.diag(dec.d) - dec.v @ dec.v.T)
     res = solve_dpk(gram, dec, budget=None)
     cmax = cmax_of(gram, dec)
-    verts = _vertex_labels(dec, cmax)
-    best_f, best_a = _best_unit_vector(gram.entries)
+    verts = _vertex_labels(dec, cmax, None)
+    best_f, best_a = _best_unit(gram.entries)
     # the search itself, which solve_dpk skips when the unit vector is certified
-    a, _, x, _, count = _vertex_search(gram.entries, dec, cmax, None, best_f)
-    assert count == verts.count
-    if name != "zero-row":
-        assert verts.merged.size > 0
+    a, _, x, scored, count = _vertex_search(gram.entries, dec, cmax, None, best_f)
+    assert (scored, count) == (verts.count << dec.k, verts.count)
+    # every label but the zero row's has other rows through its vertex
+    assert (verts.simple < verts.count) == (name != "zero-row")
     if _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue):
         # psi^2 < 2 at top 0.5; these three lie in 2 <= psi^2 < 3 at top
         # 0.95, with every pair clear of the best unit vector
@@ -414,19 +456,21 @@ def test_degenerate_vertices_match_oracle(name, top, box_minimum):
             assert np.all(np.abs(image - found) <= 0.5 + 1e-9)
 
 
-def test_copies_of_a_degenerate_vertex_merge_however_far_apart():
+def test_copies_of_a_degenerate_vertex_take_their_own_cells():
     # rows 0 and 1 are negations of each other, and rounding puts two
-    # copies of one degenerate vertex 1.33e-9 apart; they share their
-    # cells, so they are one vertex
+    # copies of one degenerate vertex 1.33e-9 apart; each copy is a label
+    # of its own and scores its own 2^k cells
     h = [[-0.46918811417037287, -0.1128931533640909], [0.46918811417037287, 0.1128931533640909],
          [0.6854763797414173, 0.5927592341265248], [-0.05801835598190251, -0.6797469926467432],
          [-0.6576755830182472, -1.0755466705458019], [0.8398458749078057, 0.2027321791304967]]
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=0.16333752389939873))
     assert cmax_of(gram, dec) == 2
-    verts = _vertex_labels(dec, 2)
-    assert verts.merged.size == 144
+    verts = _vertex_labels(dec, 2, None)
+    # 14 row pairs solved at 6^2 right-hand sides: 216 labels of simple
+    # vertices, and 288 at 144 vertices that rows 0 and 1 both pass through
+    assert (verts.count, verts.simple) == (14 * 36, 216)
     res = solve_dpk(gram, dec)
-    assert (res.candidates_evaluated, res.breakpoint_count) == (1446, verts.count) == (1446, 360)
+    assert (res.candidates_evaluated, res.breakpoint_count) == (6 + 4 * 504, 504)
     assert res.a_star.entries.tolist() == [0, 0, 0, 0, 1, 0]
     assert res.f_star.hex() == "0x1.a92dcc109442ap-1"
 
@@ -501,25 +545,30 @@ def test_refusals_come_before_the_candidates_are_built():
     gram = GramMatrix(np.diag(dec.d) - dec.v @ dec.v.T)
     assert cmax_of(gram, dec) == 3
     full = solve_dpk(gram, dec, budget=None)
-    verts = _vertex_labels(dec, 3)
-    cells = full.candidates_evaluated - dec.n
-    assert np.count_nonzero(verts.generic) * 4 < cells // 2
-    # the candidate matrix alone takes this much
-    matrix = cells * dec.n * 8
-    assert peak_bytes(lambda: solve_dpk(gram, dec, budget=None)) > matrix
+    verts = _vertex_labels(dec, 3, None)
+    # every label scores its own 2^k cells; 1298 of the C(8, 2) 8^2 labels
+    # have other lines through their vertex
+    assert (full.candidates_evaluated, full.breakpoint_count) == (8 + 4 * 1792, 1792)
+    assert verts.count - verts.simple == 1298
+    # one (row subsets x n x right-hand sides) array of the labels takes this much
+    array = verts.base.nbytes
+    assert peak_bytes(lambda: solve_dpk(gram, dec, budget=None)) > 4 * array
 
     def refused(budget, message):
         with pytest.raises(ResourceBudgetError, match=message):
             solve_dpk(gram, dec, budget=budget)
 
     # the vertex bound C(8, 2) 8^2 = 1792 fits, its 1792 x 8 label
-    # entries do not; at that many entries the vertex groups do not fit
-    assert peak_bytes(lambda: refused(1792, "^14336 vertex label entries exceed")) < matrix / 2
-    groups = math.comb(full.breakpoint_count, 3)
-    assert peak_bytes(lambda: refused(14336, f"^{groups} vertex groups of size 3 exceed")) < matrix / 2
-    ratios = dec.v / dec.d[:, None]
-    assert peak_bytes(lambda: pytest.raises(ResourceBudgetError, _vertex_cells, verts, ratios,
-                                            cells - 1)) < matrix / 4
+    # entries do not, and nothing is solved
+    assert peak_bytes(lambda: refused(1792, "^14336 vertex label entries exceed")) < array / 4
+    # the 4 cells of each label are counted before any label is solved
+    assert peak_bytes(lambda: pytest.raises(ResourceBudgetError, _vertex_labels, dec, 3,
+                                            4 * 1792 - 1)) < array / 4
+    # the vertex groups of the simple labels, once they are solved
+    groups = math.comb(verts.simple, 3)
+    refused(14336, f"^{groups} vertex groups of size 3 exceed budget 14336$")
+    refused(groups - 1, f"^{groups} vertex groups of size 3 exceed")
+    assert solve_dpk(gram, dec, budget=groups).a_star.entries.tolist() == full.a_star.entries.tolist()
 
 
 def test_label_entries_are_refused_before_any_label_is_solved():
@@ -746,7 +795,7 @@ def vertex_search_matches_solve_dpk(gram, dec):
     """Check solve_dpk on the pair at budgets None and the default against
     _vertex_search run directly; returns whether it may skip the search
     (it does wherever the vertex-group guard could not fire)."""
-    best_f, best_a = _best_unit_vector(gram.entries)
+    best_f, best_a = _best_unit(gram.entries)
     skipped = _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue)
     for budget in None, cfslv.solver_dpk.DEFAULT_COMBINATION_BUDGET:
         try:
@@ -784,7 +833,7 @@ def test_rank_k_unit_vector_bound_matches_the_vertex_search(v, scale):
     # above it every pair of these v is clear of it, so solve_dpk skips
     # the vertex search there too
     gram, dec = psi2_dec(v, 2.0 * scale)
-    best_f = _best_unit_vector(gram.entries)[0]
+    best_f = _best_unit(gram.entries)[0]
     assert (best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)) == (scale == 1.0 - 1e-6)
     assert vertex_search_matches_solve_dpk(gram, dec)
 
@@ -808,8 +857,8 @@ def test_pairs_inside_the_margin_are_searched(eps, clear, k):
     v = np.array([[1.0, 0.0], [1.0 - eps, 0.0], [0.5, 0.5]])[:, :k]
     dec = DpkDecomposition(d=np.full(3, 3.0), v=v)
     gram = GramMatrix(np.diag(dec.d) - v @ v.T)
-    best_f, best_a = _best_unit_vector(gram.entries)
-    assert best_f == 2.0 and best_a.tolist() == [1, 0, 0]
+    best_f, best_a = _best_unit(gram.entries)
+    assert best_f == 2.0 and best_a.entries.tolist() == [1, 0, 0]
     assert 2.0 < best_f / gram.min_eigenvalue < 3.0
     assert _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue) == clear
     if eps == 0.0:
@@ -839,7 +888,7 @@ def test_pair_check_certifies_the_naive_minimum(box_minimum):
         n = int(rng.integers(2, 5))
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         gram = GramMatrix((q * np.r_[1.0, rng.uniform(1.0, 6.0, n - 1)]) @ q.T)
-        best_f = _best_unit_vector(gram.entries)[0]
+        best_f = _best_unit(gram.entries)[0]
         if not 2.0 <= best_f / gram.min_eigenvalue < 3.0:
             continue
         if _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue):
@@ -857,11 +906,11 @@ def test_pair_skip_keeps_the_vertex_group_refusals(v):
     # C(108, 3) vertex groups, past a budget of 2000: the search still
     # runs there and refuses, though the pair check certifies the unit vector
     gram, dec = psi2_dec(v, 2.5)
-    best_f = _best_unit_vector(gram.entries)[0]
+    best_f = _best_unit(gram.entries)[0]
     assert not best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
     assert _unit_vector_certified(gram.entries, best_f, gram.min_eigenvalue)
     assert cmax_of(gram, dec) == 2
-    count = _vertex_labels(dec, 2).count
+    count = _vertex_labels(dec, 2, None).count
     assert count == math.comb(dec.n, 2) * 36
     groups = math.comb(count, 3)
     with pytest.raises(ResourceBudgetError,
@@ -875,11 +924,11 @@ def test_rank_k_skip_keeps_the_refusals():
     # psi^2 < 2, so the best unit vector is optimal, but the vertex-group
     # guard refuses the search at a small budget: the skip must not hide that
     gram, dec = psi2_dec(((1.0, 0.2), (0.3, -0.8), (-0.5, 0.6)), 1.9)
-    assert _best_unit_vector(gram.entries)[0] / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
+    assert _best_unit(gram.entries)[0] / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
     cmax = cmax_of(gram, dec)
     bound = math.comb(3, 2) * (2 * cmax + 2) ** 2
     # every label solves to a vertex of its own
-    assert _vertex_labels(dec, cmax).count == bound
+    assert _vertex_labels(dec, cmax, None).count == bound
     groups = math.comb(bound, 3)
     assert bound * 3 < 2000 < groups
     for budget in 2000, groups - 1:
@@ -889,14 +938,14 @@ def test_rank_k_skip_keeps_the_refusals():
     # from C(bound, 3) on the guard cannot fire, and nothing is searched
     res = solve_dpk(gram, dec, budget=groups)
     assert (res.candidates_evaluated, res.breakpoint_count) == (3, 0)
-    assert res.a_star.entries.tolist() == _best_unit_vector(gram.entries)[1].tolist()
+    assert res.a_star.entries.tolist() == _best_unit(gram.entries)[1].entries.tolist()
 
 
 def test_rank_k_skip_waits_only_on_the_vertex_groups():
     # psi^2 < 2 again: at n = 28 every budget from C(B, 3) on skips the
     # search, though the B 2^28 bound on the cell count is larger
     gram, dec = psi2_dec(0.1 * np.random.default_rng(3).standard_normal((28, 2)), 1.9)
-    best_f, best_a = _best_unit_vector(gram.entries)
+    best_f, best_a = _best_unit(gram.entries)
     assert best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
     assert cmax_of(gram, dec) == 2
     bound = math.comb(28, 2) * (2 * 2 + 2) ** 2
@@ -904,25 +953,26 @@ def test_rank_k_skip_waits_only_on_the_vertex_groups():
     for budget in math.comb(bound, 3), (bound << 28) - 1, bound << 28:
         res = solve_dpk(gram, dec, budget=budget)
         assert (res.candidates_evaluated, res.breakpoint_count) == (28, 0)
-        assert res.a_star.entries.tolist() == best_a.tolist()
+        assert res.a_star.entries.tolist() == best_a.entries.tolist()
 
 
-def test_rank_k_skip_hides_the_cell_count_refusal():
+def test_rank_k_search_on_concurrent_lines_keeps_the_skipped_unit_vector():
     # 40 rows (1, gamma_i): the lines r_i x = c of one c all meet on the
-    # x_1 axis, so each of those 6 vertices has 2^40 cells, more than
-    # C(B, 3); the search refuses on the cell count, the skip returns
+    # x_1 axis, at 6 vertices that all 40 rows pass through; each of
+    # their C(40, 2) labels scores its own 2^2 cells, so the search that
+    # the skip spares fits the budget and finds the unit vector the skip
+    # returns
     gamma = np.random.default_rng(5).uniform(-1.0, 1.0, 40)
     gram, dec = psi2_dec(np.column_stack([np.ones(40), gamma]), 1.9)
-    best_f, best_a = _best_unit_vector(gram.entries)
+    best_f, best_a = _best_unit(gram.entries)
     assert best_f / gram.min_eigenvalue < 2.0 * (1.0 - 1e-9)
     assert cmax_of(gram, dec) == 2
-    budget = math.comb(math.comb(40, 2) * (2 * 2 + 2) ** 2, 3)
-    assert 6 << 40 > budget
-    with pytest.raises(ResourceBudgetError, match=f"^[0-9]+ vertex cells exceed budget {budget}$"):
-        _vertex_search(gram.entries, dec, 2, budget, best_f)
+    labels = math.comb(40, 2) * (2 * 2 + 2) ** 2
+    budget = math.comb(labels, 3)
+    assert _vertex_search(gram.entries, dec, 2, budget, best_f) == (None, None, None, 4 * labels, labels)
     res = solve_dpk(gram, dec, budget=budget)
     assert (res.candidates_evaluated, res.breakpoint_count) == (40, 0)
-    assert res.a_star.entries.tolist() == best_a.tolist()
+    assert res.a_star.entries.tolist() == best_a.entries.tolist()
 
 
 def rank_one_draws(rng, count):
@@ -1048,10 +1098,10 @@ def test_vertex_set_keeps_subsets_the_decomposition_accepts():
         # the one 2-row subset is W itself, which DpkDecomposition accepted;
         # where the unit vector is certified solve_dpk skips the vertices,
         # so look at them directly
-        if _unit_vector_certified(gram.entries, _best_unit_vector(gram.entries)[0],
+        if _unit_vector_certified(gram.entries, _best_unit(gram.entries)[0],
                                   gram.min_eigenvalue):
             assert res.breakpoint_count == 0
-            assert _vertex_labels(dec, cmax_of(gram, dec)).rows.tolist() == [[0, 1]]
+            assert _vertex_labels(dec, cmax_of(gram, dec), None).rows.tolist() == [[0, 1]]
             skipped += 1
         else:
             assert res.breakpoint_count > 0
