@@ -4,7 +4,11 @@ Each trial draws an instance from a counter-based RNG keyed by
 seed XOR trial_id, so any subset of trials can be reproduced in any
 order and the report is identical regardless of how many worker
 processes ran it.  Draw order within a trial: dimension n, then power
-(log-uniform), then the channel entries (row-major for MIMO).
+(log-uniform), then the channel entries (row-major for MIMO).  A
+one-value n range draws no n: integers(n, n + 1) would consume nothing
+from the stream.  The power is exp(lo + (hi - lo) u) for lo, hi the
+logs of the power range and u one random() draw, the formula
+Generator.uniform(lo, hi) runs, with its bits.
 """
 
 from __future__ import annotations
@@ -159,9 +163,11 @@ def run_trial(config: BenchConfig, trial_id: int) -> tuple[TrialRecord, int]:
     """Run one trial; returns the record and the candidate count."""
     rng = _trial_generator(config.seed ^ trial_id)
     n_lo, n_hi = config.n_range
-    n = int(rng.integers(n_lo, n_hi + 1))
-    p_lo, p_hi = config.power_range
-    power = float(np.exp(rng.uniform(math.log(p_lo), math.log(p_hi))))
+    # integers(n, n + 1) consumes nothing from the stream: no call, same draws
+    n = n_lo if n_lo == n_hi else int(rng.integers(n_lo, n_hi + 1))
+    lo, hi = map(math.log, config.power_range)
+    # lo + (hi - lo) u is what Generator.uniform(lo, hi) runs: the same bits
+    power = float(np.exp(lo + (hi - lo) * rng.random()))
 
     h = rng.standard_normal(n if config.mode == "single" else (n, config.k))
     # the one G of the trial: searched by the solver, certified by the oracle

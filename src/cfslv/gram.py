@@ -10,6 +10,7 @@ nonzero eigenpairs (g_i^2, w_i) of H H^T, a diagonal-minus-rank-k form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ from .core import (
 
 DPK_RESIDUAL_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-12
+# _ones's cache: one d for every n a campaign draws
+ONES_CACHE_SIZE = 64
 _EPS = float(np.finfo(float).eps)
 
 
@@ -161,8 +164,11 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     g_max^2 overflows, which raises GramMatrix's ValueError; V = W
     diag(s)^1/2 with d = 1 has singular values sqrt(s_i), on which
     DpkDecomposition's rank and definiteness tests run with the same
-    thresholds and messages.  G is symmetrized exactly, as GramMatrix
-    does, and the decomposition keeps a private reference to it, so
+    thresholds and messages.  G is formed in place, as _gram_single's
+    is: 0 - W diag(s) W^T, then 1 added on the diagonal, the bits of
+    I - W diag(s) W^T without the identity; then it is symmetrized
+    exactly, as GramMatrix does.  d is _ones(n), one shared immutable
+    ones(n) per n.  The decomposition keeps a private reference to G, so
     solve_dpk does not compare the pair again.
     """
     if not isinstance(channel, MimoChannel):
@@ -189,8 +195,10 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
         raise ValueError("Gram matrix entries must be finite")
     # their eigenvectors, largest first, copied column-major: BLAS rounds on one fixed layout
     w = vectors[:, :-m - 1:-1].copy(order="F")
-    g = np.eye(n)
-    g -= (w * shrink) @ w.T
+    # 0 - x, then 1 on the diagonal: eye(n) - x bit for bit, as in _gram_single
+    g = (w * shrink) @ w.T
+    np.subtract(0.0, g, out=g)
+    g.ravel()[:: n + 1] += 1.0
     g += g.T
     g *= 0.5
     # 1 - s_max, not 1 / (1 + P g_max^2): the same value, but rounded as
@@ -198,8 +206,21 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     g = _unchecked(GramMatrix, entries=_freeze(g), min_eigenvalue=1.0 - shrink[0])
     sv = [math.sqrt(x) for x in shrink]  # V's singular values, largest first
     _check_dpk_spectrum(sv)
-    dec = _unchecked(DpkDecomposition, d=_freeze(np.ones(n)), v=_freeze(w * sv), _gram=g)
+    dec = _unchecked(DpkDecomposition, d=_ones(n), v=_freeze(w * sv), _gram=g)
     return g, dec
+
+
+@functools.lru_cache(maxsize=ONES_CACHE_SIZE)
+def _ones(n: int) -> np.ndarray:
+    """ones(n), the d of every build_gram_mimo decomposition of size n,
+    built once and cached.
+
+    Every such decomposition holds this one array, so it is backed by an
+    immutable bytes buffer, as core._unit_vector's entries are:
+    setflags(write=True) raises on it, on every view of it and through
+    .base, and no holder can change what another holds.
+    """
+    return np.frombuffer(np.ones(n).tobytes(), dtype=float)
 
 
 def validate_dpk(g, dec: DpkDecomposition) -> bool:

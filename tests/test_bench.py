@@ -270,6 +270,10 @@ def _public_record(config: BenchConfig, trial_id: int):
     ("single", 1, (2, 6), (0.1, 10.0)),
     ("mimo", 1, (2, 6), (0.1, 10.0)),
     ("mimo", 2, (2, 3), (0.1, 1.0)),
+    # a one-value range: run_trial draws no n, _public_record draws it with integers
+    ("single", 1, (4, 4), (0.1, 10.0)),
+    ("mimo", 1, (6, 6), (0.1, 10.0)),
+    ("mimo", 2, (3, 3), (0.1, 1.0)),
 ])
 def test_run_trial_has_the_bits_of_the_public_calls(mode, k, n_range, power_range):
     config = BenchConfig(mode=mode, trials=200, n_range=n_range, power_range=power_range,
@@ -288,6 +292,26 @@ def test_run_trial_has_the_bits_of_the_public_calls(mode, k, n_range, power_rang
     assert unit_won > 0
     if k == 1:
         assert led_negative > 0
+
+
+def _philox_state(gen: np.random.Generator) -> tuple:
+    state = gen.bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
+            tuple(state["buffer"]), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+def test_run_trial_draw_has_the_bits_of_integers_and_uniform():
+    # run_trial skips integers(n, n + 1), which consumes nothing, and draws
+    # the log-power as lo + (hi - lo) u, Generator.uniform's own formula
+    for key in range(10_000):
+        n = key % 7 + 1
+        lo, hi = math.log(0.1 * (key % 3 + 1)), math.log(10.0 + key % 5)
+        drawn, skipped = trial_rng(key, 0), trial_rng(key, 0)
+        assert drawn.integers(n, n + 1) == n
+        assert _philox_state(drawn) == _philox_state(skipped)
+        x, y = drawn.uniform(lo, hi), lo + (hi - lo) * skipped.random()
+        assert float(x).hex() == float(y).hex()
+        assert _philox_state(drawn) == _philox_state(skipped)
 
 
 def test_run_trial_mimo_mode():

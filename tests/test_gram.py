@@ -1,5 +1,6 @@
 """Gram construction, decompositions, and the search-radius bound."""
 
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from cfslv.core import DpkDecomposition, GramMatrix
 from cfslv.gram import (
     EIGENVALUE_FLOOR,
+    ONES_CACHE_SIZE,
     MimoChannel,
+    _ones,
     build_gram_mimo,
     build_gram_single,
     dpk_from_single,
@@ -266,6 +269,76 @@ def test_built_pair_agrees_with_the_public_checks():
         tol = 10 * g.n * np.finfo(float).eps * max(1.0, np.linalg.norm(g.entries))
         assert abs(g.min_eigenvalue - np.linalg.eigvalsh(g.entries)[0]) <= tol
     assert outcomes["rejected"] >= 5 and outcomes["accepted"] >= 250
+
+
+def _eye_minus_reference(channel):
+    """build_gram_mimo's (G, V) formed as np.eye(n) - (w * s) @ w.T, the
+    identity subtracted from, from the same eigenpairs and shrink factors;
+    None for the zero channel."""
+    h, power, k = channel.h_matrix, channel.power, channel.k
+    values, vectors = np.linalg.eigh(h @ h.T)
+    gains2 = [x for x in values.tolist()[::-1][:k] if x > EIGENVALUE_FLOOR]
+    if not gains2:
+        return None
+    shrink = [power * x / (1.0 + power * x) for x in gains2]
+    w = vectors[:, ::-1][:, :len(gains2)].copy(order="F")
+    g = np.eye(channel.n) - (w * shrink) @ w.T
+    g = 0.5 * (g + g.T)
+    return g, w * [math.sqrt(x) for x in shrink]
+
+
+def _sizing_channels(rng, count):
+    """Gaussian, integer, half-integer and zero-row channels, n 1-8,
+    k 1-n, P log-uniform in e^-5..e^12."""
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        kind = i % 4
+        if kind == 1:
+            h = rng.integers(-2, 3, (n, k)).astype(float)
+        elif kind == 2:
+            h = rng.integers(-3, 4, (n, k)) / 2.0
+        else:
+            h = rng.standard_normal((n, k))
+            if kind == 3:
+                h[rng.integers(n)] = 0.0
+        yield MimoChannel(h_matrix=h, power=float(np.exp(rng.uniform(-5.0, 12.0))))
+
+
+def test_gram_formed_in_place_has_the_bits_of_eye_minus():
+    built = 0
+    for channel in _sizing_channels(np.random.default_rng(30), 2000):
+        try:
+            g, dec = build_gram_mimo(channel)
+        except ValueError:
+            continue  # G rounds to singular at the high powers
+        reference = _eye_minus_reference(channel)
+        if reference is None:
+            assert dec is None and np.array_equal(g.entries, np.eye(channel.n))
+            continue
+        ref_g, ref_v = reference
+        assert g.entries.tobytes() == ref_g.tobytes()
+        assert dec.v.tobytes() == ref_v.tobytes()
+        # 0 - x keeps +0 where eye - x does: no entry is -0
+        assert not np.signbit(g.entries[g.entries == 0.0]).any()
+        built += 1
+    assert built >= 1500
+
+
+def test_decompositions_of_one_n_share_one_immutable_d():
+    rng = np.random.default_rng(31)
+    _, dec = build_gram_mimo(MimoChannel(h_matrix=rng.standard_normal((5, 2)), power=0.7))
+    _, other = build_gram_mimo(MimoChannel(h_matrix=rng.integers(-2, 3, (5, 1)) + 0.5, power=3.0))
+    assert dec.d is other.d
+    assert dec.d.tolist() == [1.0] * 5 and dec.d.dtype == np.float64
+    # the entries rest on an immutable buffer, which no view can write through
+    assert isinstance(dec.d.base, bytes)
+    for d in dec.d, dec.d[1:], dec.d.view():
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            d.setflags(write=True)
+    _, small = build_gram_mimo(MimoChannel(h_matrix=rng.standard_normal((3, 2)), power=0.7))
+    assert small.d is not dec.d and small.d.tolist() == [1.0] * 3
+    assert _ones.cache_info().maxsize == ONES_CACHE_SIZE
 
 
 def test_rank_deficient_decomposition_message():
