@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     ChannelVector,
@@ -32,6 +33,10 @@ EIGENVALUE_FLOOR = 1e-12
 # _ones's cache: one d for every n a campaign draws
 ONES_CACHE_SIZE = 64
 _EPS = float(np.finfo(float).eps)
+# the LAPACK gufunc numpy's eigh(a) runs for a float64 matrix (syevd on
+# its lower triangle), on numpy 1.x and 2.x alike; called directly it skips
+# eigh's wrapper and its second errstate
+_eigh_lower = _umath_linalg.eigh_lo
 
 
 def _radius_eigenvalue(g: GramMatrix) -> float:
@@ -154,9 +159,14 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     Eigenpairs of H H^T with eigenvalue below 1e-12 contribute nothing
     and are dropped; if all are dropped (zero channel) the Gram matrix
     is the identity and the decomposition is None.  numpy forms h @ h.T
-    with syrk, so H H^T is exactly symmetric and is eigensolved as it is;
-    an entry of it at or above 2**1023 (where H H^T + (H H^T)^T would
-    overflow) or an eigenvalue that overflows raises ValueError.  That
+    with syrk, so H H^T is exactly symmetric and is eigensolved as it is,
+    by the LAPACK gufunc numpy.linalg.eigh runs on it (eigh_lo, the lower
+    triangle), called once inside the errstate the product already
+    holds: eigh's bits without its wrapper.  A LAPACK failure, which
+    fills the outputs with NaN, raises numpy.linalg.LinAlgError
+    ("Eigenvalues did not converge"), as eigh does; an entry of H H^T at
+    or above 2**1023 (where H H^T + (H H^T)^T would overflow) or an
+    eigenvalue that overflows raises ValueError.  That
     one eigensolve decides every invariant, and neither GramMatrix's nor
     DpkDecomposition's checks run again: G = I - W diag(s) W^T, s_i = P
     g_i^2 / (1 + P g_i^2) formed on Python floats, has eigenvalues 1 -
@@ -176,14 +186,18 @@ def build_gram_mimo(channel: MimoChannel) -> tuple[GramMatrix, DpkDecomposition 
     h = channel.h_matrix
     power = channel.power
     n, k = channel.n, channel.k
-    with np.errstate(over="ignore", invalid="ignore"):
+    # numpy's eigh ignores these too; invalid marks a LAPACK failure, read from the NaNs below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         outer = h @ h.T
-    # |(H H^T)_ij| <= max_i (H H^T)_ii (1 + 3 k eps): below 2**1022 there, no entry reaches 2**1023
-    if not (max(outer.diagonal().tolist()) < 2.0**1022 or abs(outer).max() < 2.0**1023):
-        raise ValueError("H H^T overflows a float; scale the channel down")
-    values, vectors = np.linalg.eigh(outer)
+        # |(H H^T)_ij| <= max_i (H H^T)_ii (1 + 3 k eps): below 2**1022 there, no entry reaches 2**1023
+        if not (max(outer.diagonal().tolist()) < 2.0**1022 or abs(outer).max() < 2.0**1023):
+            raise ValueError("H H^T overflows a float; scale the channel down")
+        values, vectors = _eigh_lower(outer, signature="d->dd")
     values = values.tolist()
     if not all(map(math.isfinite, values)):
+        # on a LAPACK failure numpy fills both outputs with NaN
+        if any(map(math.isnan, values)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         raise ValueError("H H^T overflows a float; scale the channel down")
     # eigh sorts ascending: the top k eigenvalues, largest first, above the floor
     gains2 = [x for x in values[:-k - 1:-1] if x > EIGENVALUE_FLOOR]

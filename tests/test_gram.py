@@ -2,10 +2,12 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from cfslv import gram as gram_module
 from cfslv.core import DpkDecomposition, GramMatrix
 from cfslv.gram import (
     EIGENVALUE_FLOOR,
@@ -370,6 +372,8 @@ def test_extreme_power_still_fails(power, message):
     pytest.param([[1.1e154], [1.0]], 1e-300, id="1.1e+154-P1e-300"),
     pytest.param([[1.1e154], [1.0]], 1.0, id="1.1e+154-P1"),
     pytest.param([[ABOVE_OVERFLOW], [0.0]], 1e-300, id="2**1023-P1e-300"),
+    # every entry below 2**1022, but the top eigenvalue 6 * 2**1021.9 is inf
+    pytest.param([[2.0**510.95]] * 6, 1.0, id="eigenvalue-inf-n6"),
 ])
 def test_mimo_overflow_is_rejected(h, power):
     # H H^T overflows at 1e200; from 2**1023 on, H H^T + (H H^T)^T does,
@@ -379,9 +383,29 @@ def test_mimo_overflow_is_rejected(h, power):
         build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=power))
 
 
+def _eigh_as_built(outer):
+    """The eigensolve build_gram_mimo runs on H H^T: the LAPACK gufunc
+    np.linalg.eigh wraps, called directly."""
+    return gram_module._eigh_lower(outer, signature="d->dd")
+
+
+def test_eigensolve_has_the_bits_of_numpy_eigh():
+    # build_gram_mimo calls the gufunc that np.linalg.eigh runs; a numpy
+    # whose eigh stops running it, or runs it differently, fails here
+    rng = np.random.default_rng(58)
+    for channel in _sizing_channels(rng, 2000):
+        h = channel.h_matrix
+        outer = h @ h.T
+        values, vectors = _eigh_as_built(outer)
+        ref_values, ref_vectors = np.linalg.eigh(outer)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+
+
 def test_hht_is_exactly_symmetric_and_eigh_reads_one_triangle():
     # build_gram_mimo eigensolves h @ h.T unsymmetrized: numpy must form it
-    # with syrk, exactly symmetric, and eigh must read only its lower triangle
+    # with syrk, exactly symmetric, and the eigensolve build_gram_mimo
+    # makes, like np.linalg.eigh, must read only its lower triangle
     rng = np.random.default_rng(57)
     for kind in ("gaussian", "integer", "wide-range"):
         for _ in range(700):
@@ -396,10 +420,44 @@ def test_hht_is_exactly_symmetric_and_eigh_reads_one_triangle():
             h = MimoChannel(h_matrix=h, power=1.0).h_matrix
             outer = h @ h.T
             assert np.array_equal(outer, outer.T)
-            values, vectors = np.linalg.eigh(outer)
-            lower_values, lower_vectors = np.linalg.eigh(np.tril(outer))
-            assert values.tobytes() == lower_values.tobytes()
-            assert vectors.tobytes() == lower_vectors.tobytes()
+            values, vectors = _eigh_as_built(outer)
+            for other_values, other_vectors in (_eigh_as_built(np.tril(outer)),
+                                                np.linalg.eigh(outer)):
+                assert values.tobytes() == other_values.tobytes()
+                assert vectors.tobytes() == other_vectors.tobytes()
+
+
+def _failed_eigh(calls):
+    """A stand-in for the eigensolve that returns what the gufunc returns
+    when LAPACK reports failure: NaN in both outputs, with the invalid flag
+    raised.  Appends each matrix it is called on to calls."""
+    def eigh(outer, signature):
+        calls.append(outer)
+        n = outer.shape[0]
+        nan = np.sqrt(np.full(n + n * n, -1.0))  # NaN, and raises invalid
+        return nan[:n], nan[n:].reshape(n, n)
+    return eigh
+
+
+def test_lapack_failure_raises_linalgerror(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gram_module, "_eigh_lower", _failed_eigh(calls))
+    for h in ([[1.0], [2.0]], [[0.5, -1.0], [2.0, 0.0], [1.0, 1.0]]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=1.0))
+        # the invalid flag stays inside build_gram_mimo's errstate
+        assert caught == []
+    assert len(calls) == 2
+    # a LinAlgError is a ValueError, as np.linalg.eigh's is
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    # channels whose H H^T overflows are still refused before the eigensolve
+    for gain in (ABOVE_OVERFLOW, 1.1e154):
+        for power in (1e-300, 1.0):
+            with pytest.raises(ValueError, match=r"^H H\^T overflows a float; scale the channel down$"):
+                build_gram_mimo(MimoChannel(h_matrix=np.array([[gain], [1.0]]), power=power))
+    assert len(calls) == 2
 
 
 def test_mimo_channel_validation():
