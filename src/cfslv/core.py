@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,16 +192,16 @@ class SolverResult:
     independent of any incremental arithmetic used during the search:
     the value the winner scored on G when it was picked (the same bits
     in either sign), G_jj for a unit vector e_j; _solver_result builds
-    every result.  Both solvers pick a_star by
-    solver_single._lowest_on_g's rule: a candidate wins only if it is
-    strictly lower on G than the best unit vector, and an exact tie
-    between candidates goes to the smallest x for k = 1 and to the first
-    vertex on the 1e-9 grid for k >= 2.  witness_point is a point x of
-    a_star's closed cell (None when a unit vector won): for solve_single
-    an interval midpoint with round(x h) = a_star; for solve_dpk
-    |diag(d)^-1 V x - a_star| <= 1/2 entrywise, x the interval midpoint
-    for k = 1 and the vertex of that tie rule for k >= 2.  A solve that
-    searches nothing, by solver_single._skip_or_search's rule, reports
+    every result.  Both solvers and the oracle break every exact tie by
+    _tie_key: a candidate wins only if it is strictly lower on G than
+    the best unit vector, and among candidates tied on G the smallest
+    |a|^2, then the lexicographically largest canonical a, wins.
+    witness_point is a point x of a_star's closed cell (None when a
+    unit vector won): for solve_single an interval midpoint with
+    round(x h) = a_star; for solve_dpk |diag(d)^-1 V x - a_star| <= 1/2
+    entrywise, x the interval midpoint for k = 1 and a vertex whose
+    cells hold a_star for k >= 2.  A solve that searches nothing, by
+    solver_single._skip_or_search's rule, reports
     candidates_evaluated = n and breakpoint_count = 0; a search counts
     its crossings for k = 1, and for k >= 2 the vertex labels it solved,
     each scoring 2^k cells: candidates_evaluated = n + 2^k
@@ -275,6 +276,30 @@ def canonical_sign(a) -> CoefficientVector:
     return a if first > 0 else _unchecked(CoefficientVector, entries=_freeze(-a.entries))
 
 
+def _tie_key(f: float, a: Sequence[int]) -> tuple[float, int, list[int]]:
+    """The order of cfslv's one tie rule, lowest first, for a nonzero a
+    with f = quad_objective(G, a): the lowest f, then the smallest
+    |a|^2, then the lexicographically largest a in canonical sign.
+
+    So e_0 comes before e_1, and a unit vector before any other vector
+    it ties.  Both solvers and the oracle pick by it, so they return the
+    same a_star for one G.
+    """
+    # negate the canonical a, so that the smallest key is the largest a
+    s = -1 if next(filter(None, a)) > 0 else 1
+    return f, sum(x * x for x in a), [s * x for x in a]
+
+
+def _lowest_by_tie_key(f: list[float], a: Sequence[Sequence[int]]) -> int:
+    """The index i of the lowest (f[i], a[i]) by _tie_key, for values f
+    and nonzero integer vectors a.  The key is formed only among the
+    entries whose value equals the minimum exactly, and not at all when
+    one entry does, so an untied minimum costs one comparison pass."""
+    f_min = min(f)
+    tied = [i for i, v in enumerate(f) if v == f_min]
+    return tied[0] if len(tied) == 1 else min(tied, key=lambda i: _tie_key(f_min, a[i]))
+
+
 @functools.lru_cache(maxsize=UNIT_CACHE_SIZE)
 def _unit_vector(n: int, j: int) -> CoefficientVector:
     """The unit vector e_j of length n, built and checked by
@@ -294,7 +319,8 @@ def _best_unit(g_entries: np.ndarray) -> tuple[float, CoefficientVector]:
     """The unit vector e_j with the smallest G_jj, as (G_jj,
     _unit_vector(n, j)).
 
-    Both solvers start from it; the first j wins a tie.
+    Both solvers start from it; the first j wins a tie, as _tie_key
+    orders the unit vectors.
     """
     diag = g_entries.diagonal()
     j = int(diag.argmin())

@@ -5,10 +5,11 @@ over canonical-sign integer vectors with |a| <= radius.  A unit vector
 lies in the ball, so only points with f(a) <= min_j G_jj can win; a
 depth-first Fincke-Pohst search visits just those points of the ball,
 and picks among the nearly lowest by quad_objective, the value f_star
-reports.  Small balls need no search: one with radius^2 < 2 - 1e-8
-holds only the unit vectors, one with radius^2 < 3 - 1e-8 only those and
-the pairs e_i +- e_j, and both are scored from G's entries.  Used to
-certify solver outputs and as the ground truth in benchmark campaigns.
+reports, and on an exact tie by core._tie_key, the solvers' rule.
+Small balls need no search: one with radius^2 < 2 - 1e-8 holds only
+the unit vectors, one with radius^2 < 3 - 1e-8 only those and the pairs
+e_i +- e_j, and both are scored from G's entries.  Used to certify
+solver outputs and as the ground truth in benchmark campaigns.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import time
 import numpy as np
 
 from .core import (
-    CoefficientVector,
     SolverResult,
     as_gram_matrix,
     quad_objective,
     _check_budget,
+    _lowest_by_tie_key,
     _solver_result,
     _unit_vector,
 )
@@ -125,10 +126,9 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float,
     whose interval is {0} adds only its term to the lower bound, so it
     is passed without the cross term (G a)_d.  The points within 1e-9 of
     the lowest such score are ranked again with quad_objective, except
-    the unit vectors, whose score is already G_jj bit for bit; the first
-    in enumeration order wins an exact tie.  That is the solvers' rule
-    (solver_single._lowest_on_g) without an incumbent, written out here
-    so the oracle stays independent of them.  The value is the winner's
+    the unit vectors, whose score is already G_jj bit for bit, and the
+    lowest by core._tie_key wins: the solvers' rule, on a key of a alone,
+    so no visiting order enters the result.  The value is the winner's
     from that ranking.  ellipsoid is _ellipsoid(g_arr), formed here when
     the caller has not formed it already.
     """
@@ -143,7 +143,7 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float,
     lower = [0.0] * n  # rows i < d of |R a|^2
     sq = [0] * n  # |prefix|^2
     nonzero: list[int] = []  # depths of the nonzero prefix entries
-    # the leaves within 1e-9 of the running minimum, in enumeration order
+    # the leaves within 1e-9 of the running minimum
     near: list[tuple[float, list[int]]] = []
     best_f, evaluated = math.inf, 0
     d = 0
@@ -197,20 +197,17 @@ def _ellipsoid_search(g_arr: np.ndarray, radius: float,
         d += 1
     # the running sums differ from quad_objective in the last bits, so
     # leaves near their minimum are ranked again by the value f_star
-    # reports, which a unit vector's sum G_jj already is; the first in
-    # enumeration order wins an exact tie
+    # reports, which a unit vector's sum G_jj already is
     cut = best_f + _SLACK * abs(best_f)
     leaves = [(f, point) for f, point in near if f <= cut]
     f_g = [f if _is_unit(point) else quad_objective(g_arr, point) for f, point in leaves]
-    i = f_g.index(min(f_g))
+    i = _lowest_by_tie_key(f_g, [point for _, point in leaves])
     return leaves[i][1], f_g[i], evaluated
 
 
-def _small_ball_search(g_arr: np.ndarray, r2: float
-                       ) -> tuple[CoefficientVector | np.ndarray, float, int]:
+def _small_ball_search(g_arr: np.ndarray, r2: float) -> tuple[list[int], float, int]:
     """_ellipsoid_search's result for a ball with radius^2 = r2 < 3 - 1e-8,
-    as (point, value, count), from G's entries alone: a unit point as
-    core._unit_vector's cached e_j, a pair as an array.
+    as (point, value, count), from G's entries alone.
 
     Every nonzero integer vector but +-e_j and +-e_i +-e_j has |a|^2 >= 3,
     and the search admits a third unit step only from r2 >= 3 - 2e-9, so
@@ -227,19 +224,17 @@ def _small_ball_search(g_arr: np.ndarray, r2: float
     every point of the ball instead, so its count can be larger there.
     The points within 1e-9 of the lowest sum are ranked as the search
     ranks them: by quad_objective, except a unit vector, whose sum is
-    already G_jj, and an exact tie goes to the first in the search's
-    order: first nonzero coordinate i from n - 1 down to 0, and for each
-    i, e_i - e_j for j ascending, e_i, then e_i + e_j for j descending.
+    already G_jj, then by core._tie_key.
     """
     diag = g_arr.diagonal().tolist()
     n = len(diag)
     g_min = min(diag)
     limit = g_min * (1.0 + _SLACK)
     count = sum(f <= limit for f in diag)
-    # of the unit vectors only the lowest can win, the last on a tie
-    first = n - 1 - diag[::-1].index(g_min)
-    unit = _unit_vector(n, first)
-    # (order, f, point) of the pairs with f <= limit
+    # of the unit vectors only the lowest can win, by the key the first
+    unit = [0] * n
+    unit[diag.index(g_min)] = 1
+    # (f, point) of the pairs with f <= limit
     pairs = []
     if math.floor(math.sqrt(r2 - 1.0) + _SLACK):
         for i, row in enumerate(g_arr.tolist()):
@@ -248,20 +243,19 @@ def _small_ball_search(g_arr: np.ndarray, r2: float
                 g_ij, g_jj = row[j], diag[j]
                 if (g_ii + g_jj) * (1.0 - _SLACK) - 2.0 * abs(g_ij) > limit:
                     continue
-                for v, f, order in ((-1, g_ii - (2.0 * g_ij - g_jj), (-i, 0, j)),
-                                    (1, g_ii + (2.0 * g_ij + g_jj), (-i, 2, -j))):
+                for v, f in (-1, g_ii - (2.0 * g_ij - g_jj)), (1, g_ii + (2.0 * g_ij + g_jj)):
                     if f <= limit:
-                        point = np.zeros(n, dtype=np.int64)
+                        point = [0] * n
                         point[i], point[j] = 1, v
-                        pairs.append((order, f, point))
+                        pairs.append((f, point))
     if not pairs:
         return unit, g_min, count
-    low = min(g_min, min(f for _, f, _ in pairs))
+    low = min(g_min, min(f for f, _ in pairs))
     cut = low + _SLACK * abs(low)
-    near = sorted([((-first, 1, 0), g_min, unit)] + [p for p in pairs if p[1] <= cut])
-    f_g = [f if point is unit else quad_objective(g_arr, point) for _, f, point in near]
-    i = f_g.index(min(f_g))
-    return near[i][2], f_g[i], count + len(pairs)
+    near = [unit] + [point for f, point in pairs if f <= cut]
+    f_g = [g_min] + [quad_objective(g_arr, point) for point in near[1:]]
+    i = _lowest_by_tie_key(f_g, near)
+    return near[i], f_g[i], count + len(pairs)
 
 
 def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUDGET) -> SolverResult:
@@ -272,16 +266,17 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
     value, and only those in the ellipsoid f(a) <= min_j G_jj, which
     holds every minimiser; candidates_evaluated counts the points of
     ball and ellipsoid that were scored.  The winner is the lowest by
-    quad_objective, the value f_star reports, and ties keep the first
-    vector in lexicographic order, which is the search's order, so the
-    result is deterministic.  Three paths give that result:
+    quad_objective, the value f_star reports, and an exact tie goes by
+    core._tie_key to the smallest |a|^2, then the lexicographically
+    largest a, the solvers' rule, so the result is deterministic and
+    the solvers' a_star.  Three paths give that result:
       - the unit ball, radius^2 < 2 - 1e-8: only the e_j fit;
       - the pair ball, 2 - 1e-8 <= radius^2 < 3 - 1e-8: only the e_j and
         the e_i +- e_j fit;
       - the Fincke-Pohst search (_ellipsoid_search) for any larger ball.
     _small_ball_search serves both balls from G's entries, without a
-    Cholesky factor or a search, with the search's running sums, tie
-    rule and count: the points whose sum is at most min_j G_jj (1 +
+    Cholesky factor or a search, with the search's running sums and
+    count: the points whose sum is at most min_j G_jj (1 +
     1e-9).  The one known exception is a G with no Cholesky factor,
     where the search counts every point of the ball and so reports a
     larger count than a small ball does.  Each path reports its winner
@@ -313,8 +308,8 @@ def brute_force_slv(g, radius: float, *, budget: int | None = DEFAULT_ORACLE_BUD
             )
     r2 = radius * radius
     if r2 < 3.0 - 1e-8:
-        point, f, evaluated = _small_ball_search(g_arr, r2)
+        leaf, f, evaluated = _small_ball_search(g_arr, r2)
     else:
         leaf, f, evaluated = _ellipsoid_search(g_arr, radius, ellipsoid)
-        point = _unit_vector(g.n, leaf.index(1)) if _is_unit(leaf) else np.asarray(leaf)
+    point = _unit_vector(g.n, leaf.index(1)) if _is_unit(leaf) else np.asarray(leaf)
     return _solver_result(point, f, None, t0, evaluated, 0)

@@ -65,8 +65,6 @@ from .solver_single import _Found, _lowest_on_g, _near_set, _rank_one_search, _s
 
 DEFAULT_COMBINATION_BUDGET = 20_000_000
 TIGHT_RTOL = 1e-8
-# the spacing of _grid_order's grid
-_GRID_STEP = 1e-9
 
 
 @functools.lru_cache(maxsize=16)
@@ -131,14 +129,6 @@ class _Vertices(NamedTuple):
         return arr.transpose(0, 2, 1)[flat // count, flat % count]
 
 
-def _grid_order(pts: np.ndarray) -> np.ndarray:
-    """Stable lexicographic order of the points pts on the 1e-9 grid,
-    ties by their exact coordinates."""
-    # the grid first, so rounding noise in one coordinate cannot
-    # separate two labels of one vertex in this order
-    return np.lexsort(np.vstack([pts.T[::-1], np.round(pts / _GRID_STEP).T[::-1]]))
-
-
 def _vertex_labels(dec: DpkDecomposition, cmax: int, budget: int | None) -> _Vertices:
     """Arrangement vertices x solving (diag(d)^-1 V)_pi x = c.
 
@@ -190,14 +180,12 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     every candidate a is scored as sum d a^2 - |V^T a|^2, in O(nk),
     except cells with |a|_1 <= 1: zero is no candidate, and a unit
     vector is never strictly below best_f.  _near_set keeps the
-    candidates within rounding of the minimum.  They are sorted stably
-    by vertex with _grid_order, so by label and then pattern number
-    within one vertex, and the first copy of each vector up to sign goes
-    to _lowest_on_g, which picks by the solvers' rule (see there): each
-    vector is scored on G once, and an exact tie goes to the copy whose
-    vertex comes first on the 1e-9 grid.  Returns _Found: (a, its value
-    on G, its vertex, candidates scored, labels); the counts include the
-    zero and unit cells.
+    candidates within rounding of the minimum, and one copy of each
+    vector up to sign goes to _lowest_on_g, which picks by the solvers'
+    rule (see there): each vector is scored on G once.  Returns _Found:
+    (a, its value on G, the vertex of one of its copies, candidates
+    scored, labels); any copy's vertex is a witness, as _solver_result
+    negates it with a.  The counts include the zero and unit cells.
     """
     k = dec.k
     entries = math.comb(dec.n, k) * (2 * cmax + 2) ** k * dec.n
@@ -233,19 +221,16 @@ def _vertex_search(g_arr: np.ndarray, dec: DpkDecomposition, cmax: int,
     flat = near >> k
     cand = verts.at(base, flat)
     cand[np.arange(near.size)[:, None], verts.rows[flat // count]] = verts.w[near % (count << k)]
-    xs = verts.at(verts.x, flat)
-    # an exact tie goes to the copy whose vertex comes first on the 1e-9
-    # grid, then to the earlier cell (the sort is stable); a and -a are
-    # one vector, scored once on G through its first copy in that order
-    order = _grid_order(xs)
-    cand, xs = cand[order].astype(np.int64), xs[order]
+    cand = cand.astype(np.int64)
+    # a and -a are one vector, scored once on G through one of its copies
     keys = [tuple(a) if next(filter(None, a)) > 0 else tuple(-v for v in a) for a in cand.tolist()]
-    first = sorted({key: i for i, key in reversed(list(enumerate(keys)))}.values())
-    won = _lowest_on_g(g_arr, cand[first], best_f)
+    copy = list({key: i for i, key in enumerate(keys)}.values())
+    won = _lowest_on_g(g_arr, cand[copy], best_f)
     if won is None:
         return None, None, None, scored, verts.count
     j, f_star = won
-    return cand[first[j]], f_star, xs[first[j]], scored, verts.count
+    i = copy[j]
+    return cand[i], f_star, verts.at(verts.x, flat[i]), scored, verts.count
 
 
 def solve_dpk(g, dec: DpkDecomposition | None, *,
@@ -258,15 +243,15 @@ def solve_dpk(g, dec: DpkDecomposition | None, *,
     again; any other g, dec or mix of the two is compared.  A None
     decomposition is accepted only for diagonal g, where psi^2 = 1 and
     _skip_or_search returns the best unit vector, without a budget and
-    without a search.  Unless _skip_or_search skips it,
-    for k = 1 solve_single's search, _rank_one_search, sweeps x v / d
-    (ties to the smallest x), and breakpoint_count counts its
-    crossings; for k >= 2 the candidates are the 2^k rounded cells at
-    each vertex label (see _vertex_search), candidates_evaluated = n +
-    2^k breakpoint_count, and breakpoint_count counts the labels
-    solved.  Either search picks by _lowest_on_g's rule.  The witness
+    without a search.  Unless _skip_or_search skips it, for k = 1
+    solve_single's search, _rank_one_search, sweeps x v / d, and
+    breakpoint_count counts its crossings; for k >= 2 the candidates are
+    the 2^k rounded cells at each vertex label (see _vertex_search),
+    candidates_evaluated = n + 2^k breakpoint_count, and
+    breakpoint_count counts the labels solved.  Either search picks by
+    _lowest_on_g's rule, core._tie_key on every exact tie.  The witness
     is a point x of a_star's closed cell, |diag(d)^-1 V x - a_star| <=
-    1/2 entrywise: the interval midpoint for k = 1, the vertex that
+    1/2 entrywise: the interval midpoint for k = 1, a vertex that
     produced a_star for k >= 2.  Raises ResourceBudgetError if the
     vertex bound C(n, k) (2 cmax + 2)^k exceeds budget, and for k >= 2,
     where the search runs, if n times that bound, the cells or the

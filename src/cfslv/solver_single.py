@@ -27,6 +27,7 @@ from .core import (
     quad_objective,
     _best_unit,
     _check_budget,
+    _lowest_by_tie_key,
     _solver_result,
 )
 from .errors import ResourceBudgetError
@@ -57,17 +58,14 @@ def _near_set(f: np.ndarray, norm2: np.ndarray, best_f: float) -> np.ndarray | N
 def _lowest_on_g(g_arr: np.ndarray, cand: list[np.ndarray] | np.ndarray,
                  best_f: float) -> tuple[int, float] | None:
     """The solvers' pick rule: (j, quad_objective(G, cand[j])) for the
-    first row j with the lowest value on G, the function f_star comes
-    from, or None unless that value is strictly below best_f, the best
-    unit vector's.  So the unit vector keeps every exact tie with a
-    candidate, and an exact tie between candidates goes to the first in
-    the order given: the smallest x in _rank_one_search, the vertex first
-    on the 1e-9 grid in _vertex_search.  The candidates are _near_set's."""
+    row j first by core._tie_key, the lowest value on G (the function
+    f_star comes from) and then the key's order on a, or None unless that
+    value is strictly below best_f, the best unit vector's.  So the unit
+    vector keeps every exact tie with a candidate, as the key gives it.
+    The candidates are _near_set's."""
     f_g = [quad_objective(g_arr, a) for a in cand]
-    f_min = min(f_g)
-    if not f_min < best_f:
-        return None
-    return f_g.index(f_min), f_min
+    j = _lowest_by_tie_key(f_g, cand)
+    return (j, f_g[j]) if f_g[j] < best_f else None
 
 
 def _norm_ceiling(best_f: float, lam_min: float, n: int, k: int,
@@ -126,10 +124,10 @@ def _rank_one_search(g_arr: np.ndarray, r: np.ndarray, d: np.ndarray, v: np.ndar
     stably, and prefix sums of d_j (2c + 1) and |v_j| give f = sum d a^2
     - (v.a)^2 on each open interval.  _near_set keeps the intervals
     within rounding of the minimum, and _lowest_on_g picks among them
-    in order of x (see there for the rule).  The first interval, which
-    holds a unit vector, is not scored, since no unit vector is
-    strictly below best_f.  Returns _Found: (a or None, quad_objective(G,
-    a) or None, interval midpoint or None, open intervals, crossings).
+    (see there for the rule).  The first interval, which holds a unit
+    vector, is not scored, since no unit vector is strictly below
+    best_f.  Returns _Found: (a or None, quad_objective(G, a) or None,
+    interval midpoint or None, open intervals, crossings).
     """
     half = np.arange(0.5, cmax + 1.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -201,11 +199,11 @@ def solve_single(h, power: float, *, budget: int | None = DEFAULT_BREAKPOINT_BUD
 
     G is build_gram_single's.  Starts from the best signed unit vector
     and, unless _skip_or_search skips it, runs _rank_one_search on x*h
-    over c = 0..cmax, which picks by _lowest_on_g's rule (ties to the
-    smallest x).  Raises ResourceBudgetError if the vertex bound n (2
-    cmax + 2) exceeds budget, and ValueError if budget is below 1, if
-    1 + P|h|^2 overflows a float, or if the rounded G is not positive
-    definite or numerically singular.
+    over c = 0..cmax, which picks by _lowest_on_g's rule.  Raises
+    ResourceBudgetError if the vertex bound n (2 cmax + 2) exceeds
+    budget, and ValueError if budget is below 1, if 1 + P|h|^2
+    overflows a float, or if the rounded G is not positive definite or
+    numerically singular.
     """
     return _solve_single(h, power, budget=budget)[0]
 

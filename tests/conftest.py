@@ -11,23 +11,30 @@ def box_minimum_pure(g_entries, bound, radius=None):
 
     Scans every nonzero a with |a_i| <= bound entrywise; when radius is
     given, points with |a| > radius are skipped, making the search
-    region exactly the lattice ball.  Deliberately naive; only usable
-    for tiny n and bound.
+    region exactly the lattice ball.  Returns (f, a) for the canonical-
+    sign a (first nonzero entry positive; f(-a) = f(a) bit for bit) that
+    is lowest by f, then by |a|^2, and then lexicographically largest:
+    cfslv's tie rule, written out here so the reference stays
+    independent of the package.  Deliberately naive; only usable for
+    tiny n and bound.
     """
     g = [[float(x) for x in row] for row in np.asarray(g_entries)]
     n = len(g)
-    best_f = None
+    best_key = None
     best_a = None
     for a in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(a):
+        if not any(a) or next(x for x in a if x) < 0:
             continue
-        if radius is not None and sum(x * x for x in a) > radius * radius:
+        norm2 = sum(x * x for x in a)
+        if radius is not None and norm2 > radius * radius:
             continue
         f = sum(a[i] * g[i][j] * a[j] for i in range(n) for j in range(n))
-        if best_f is None or f < best_f:
-            best_f = f
+        # the largest a is the smallest -a
+        key = (f, norm2, [-x for x in a])
+        if best_key is None or key < best_key:
+            best_key = key
             best_a = a
-    return best_f, best_a
+    return best_key[0], best_a
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,9 @@ objective value.  mimo-k2-integer pins the rank-k winner rule on
 integer channels (entries -2..2, P in 0.25..5), where two candidates
 often tie on G or differ in its last bits.  Floats are stored as
 float.hex so the file is exact.  tests/test_golden.py re-solves the
-stored instances and checks that a_star is unchanged, that the solver's
-f_star is within 1e-12 relative of f_star, and that the oracle's value
-is within 1e-12 relative of f_oracle (on the ties it lists, the oracle's
-vector differs from a_star but not its value).
+stored instances and checks that the solver and the oracle both return
+a_star, that the solver's f_star is within 1e-12 relative of f_star,
+and that the oracle's value is within 1e-12 relative of f_oracle.
 """
 
 from __future__ import annotations

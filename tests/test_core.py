@@ -20,6 +20,7 @@ from cfslv.core import (
     quadratic_form,
     UNIT_CACHE_SIZE,
     _solver_result,
+    _tie_key,
     _unit_vector,
 )
 import cfslv.bench
@@ -71,6 +72,21 @@ def test_canonical_sign_idempotent(vec):
     twice = canonical_sign(once)
     assert np.array_equal(once.entries, twice.entries)
     assert once.entries[np.flatnonzero(once.entries)[0]] > 0
+
+
+def test_tie_key_orders_by_value_then_norm_then_largest_canonical_a():
+    order = [[1, 0, 0], [0, 1, 0], [0, 0, -1], [1, 1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1],
+             [0, -1, 1], [1, 1, 1], [2, 0, 0], [0, 2, -1]]
+    assert sorted(order[::-1], key=lambda a: _tie_key(2.0, a)) == order
+    # a lower value wins before |a|^2 or a are looked at
+    assert _tie_key(1.0, [2, 1, 1]) < _tie_key(2.0, [1, 0, 0])
+
+
+@given(nonzero_int_vectors)
+def test_tie_key_is_one_key_for_a_and_minus_a(vec):
+    key = _tie_key(1.0, vec)
+    assert key == _tie_key(1.0, [-x for x in vec])
+    assert key == _tie_key(1.0, canonical_sign(vec).entries.tolist())
 
 
 @settings(max_examples=60)
@@ -274,8 +290,8 @@ def _oracle(gram, radius):
 
 
 # every path that reports a unit vector winner, with the index of the
-# winner (the first smallest G_jj for the solvers, the last for the
-# oracle) and whether the path searched (for the oracle, radius^2 >= 2)
+# winner (the first smallest G_jj, by core._tie_key, on every path) and
+# whether the path searched (for the oracle, radius^2 >= 2)
 UNIT_WINNER_PATHS = {
     "solve_single skip": (lambda: _solve_single([1.0, 0.5], 0.1)[:2], 0, False),
     # psi^2 = 3.5 here and 3.36 in "solve_dpk found nothing k=2": at or
@@ -288,11 +304,11 @@ UNIT_WINNER_PATHS = {
     "solve_dpk dec=None": (_diagonal_dpk, 1, False),
     "solve_dpk found nothing k=1": (lambda: _dpk([[3.0], [1.0]], 2.0), 0, True),
     "solve_dpk found nothing k=2": (lambda: _dpk([[1.0, 0.5], [0.5, 1.0], [0.0, 2.0]], 3.0), 2, True),
-    "oracle unit ball": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.2), 2, False),
-    # radius^2 = 2.5: e_0 - e_1 ties both unit vectors at f = 1 exactly; e_1 stays
+    "oracle unit ball": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.2), 1, False),
+    # radius^2 = 2.5: e_0 - e_1 ties both unit vectors at f = 1 exactly; e_0 wins
     "oracle pair ball": (lambda: _oracle(GramMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])), 2.5**0.5),
-                         1, False),
-    "oracle unit leaf": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.5), 2, True),
+                         0, False),
+    "oracle unit leaf": (lambda: _oracle(GramMatrix(np.diag([2.0, 1.0, 1.0])), 1.5), 1, True),
     "oracle unit leaf, dense G": (lambda: _oracle(build_gram_single([2.0, 1.0, 0.5], 1.0), 2.0), 0, True),
 }
 

@@ -82,9 +82,10 @@ def test_candidate_count_small_identity():
 
 
 def test_ball_binds_inside_the_ellipsoid():
-    # (1,1) has f = 2 < 3 but lies outside the ball of radius 1.2
+    # (1,1) has f = 2 < 3 but lies outside the ball of radius 1.2; of
+    # the tied unit vectors e_0 wins
     res = brute_force_slv(GramMatrix(np.array([[3.0, -2.0], [-2.0, 3.0]])), 1.2)
-    assert res.a_star.entries.tolist() == [0, 1]
+    assert res.a_star.entries.tolist() == [1, 0]
     assert res.f_star == 3.0
     assert res.candidates_evaluated == 2
 
@@ -94,7 +95,7 @@ def test_ball_binds_past_the_unit_vectors():
     # radius 1.6, which holds the pairs (f >= 3.6) as well as the unit vectors
     g = GramMatrix(np.array([[3.0, -1.2, -1.2], [-1.2, 3.0, -1.2], [-1.2, -1.2, 3.0]]))
     res = brute_force_slv(g, 1.6)
-    assert res.a_star.entries.tolist() == [0, 0, 1]
+    assert res.a_star.entries.tolist() == [1, 0, 0]
     assert res.f_star == 3.0
     assert res.candidates_evaluated == 3
     assert brute_force_slv(g, 1.8).a_star.entries.tolist() == [1, 1, 1]
@@ -109,20 +110,20 @@ def test_unit_ball_matches_naive_enumeration(box_minimum, gram_factory):
         res = brute_force_slv(g, radius)
         naive_f, naive_a = box_minimum(g.entries, 1, radius=radius)
         assert res.f_star == naive_f
-        assert np.abs(res.a_star.entries).tolist() == np.abs(naive_a).tolist()
+        assert res.a_star.entries.tolist() == list(naive_a)
         assert res.candidates_evaluated == _ellipsoid_search(g.entries, radius)[2]
 
 
 @pytest.mark.parametrize("g", [np.eye(4), np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 3.0]])],
                          ids=["identity", "tied-diagonal"])
-def test_unit_ball_tie_goes_to_the_last_unit_vector(g):
-    # the search enumerates e_n first, ..., e_1 last, and keeps the first
-    # on a tie; the ball below radius^2 = 2 gives the same vector and count
+def test_unit_ball_tie_goes_to_the_first_unit_vector(g):
+    # the search enumerates e_{n-1} first and e_0 last, but the tie key
+    # keeps e_0 over e_1; the ball below radius^2 = 2 gives the same
+    # vector and count
     ball = brute_force_slv(GramMatrix(g), np.sqrt(2.0 - 2e-8))
     searched, _, count = _ellipsoid_search(g, np.sqrt(2.0 - 2e-8))
-    j = 1 if g.shape[0] == 3 else 3
-    assert ball.a_star.entries.tolist() == searched == np.eye(g.shape[0], dtype=int)[j].tolist()
-    assert ball.f_star == g[j, j]
+    assert ball.a_star.entries.tolist() == searched == np.eye(g.shape[0], dtype=int)[0].tolist()
+    assert ball.f_star == g[0, 0]
     assert ball.candidates_evaluated == count
 
 
@@ -156,14 +157,16 @@ def test_pair_ball_matches_the_search(r2):
 
 
 @pytest.mark.parametrize("g, winner", [
-    # all three e_i - e_j score 2 < 3; e_1 - e_2 comes first (largest i)
-    ([[3.0, 2.0, 2.0], [2.0, 3.0, 2.0], [2.0, 2.0, 3.0]], [0, 1, -1]),
-    # e_0 - e_1 and e_0 - e_2 score 2; e_i - e_j for j ascending
-    ([[3.0, 2.0, 2.0], [2.0, 3.0, 0.0], [2.0, 0.0, 3.0]], [1, -1, 0]),
-    # e_0 + e_1 and e_0 + e_2 score 2; e_i + e_j for j descending
-    ([[3.0, -2.0, -2.0], [-2.0, 3.0, 0.0], [-2.0, 0.0, 3.0]], [1, 0, 1]),
-], ids=["largest-i", "minus-j-ascending", "plus-j-descending"])
-def test_pair_ball_tie_goes_to_the_first_pair_searched(g, winner):
+    # all three e_i - e_j score 2 < 3; the lexicographically largest wins
+    ([[3.0, 2.0, 2.0], [2.0, 3.0, 2.0], [2.0, 2.0, 3.0]], [1, 0, -1]),
+    # e_0 - e_1 and e_0 - e_2 score 2
+    ([[3.0, 2.0, 2.0], [2.0, 3.0, 0.0], [2.0, 0.0, 3.0]], [1, 0, -1]),
+    # e_0 + e_1 and e_0 + e_2 score 2
+    ([[3.0, -2.0, -2.0], [-2.0, 3.0, 0.0], [-2.0, 0.0, 3.0]], [1, 1, 0]),
+    # e_0 + e_1 and e_0 - e_2 score 2
+    ([[3.0, -2.0, 2.0], [-2.0, 3.0, 0.0], [2.0, 0.0, 3.0]], [1, 1, 0]),
+], ids=["all-minus", "two-minus", "two-plus", "plus-and-minus"])
+def test_pair_ball_tie_goes_to_the_largest_pair(g, winner):
     g = np.array(g)
     res = brute_force_slv(GramMatrix(g), np.sqrt(2.5))
     point, f, count = _ellipsoid_search(g, np.sqrt(2.5))
@@ -213,19 +216,20 @@ def test_only_tied_leaves_past_the_unit_vectors_are_rescored(monkeypatch):
         return quad_objective(g_arr, a)
 
     monkeypatch.setattr(cfslv.oracle, "quad_objective", counting)
-    # (0, 1, -1) ties e_1 and e_0 at f = 2 exactly and is enumerated first
+    # (0, 1, -1) ties e_1 and e_0 at f = 2 exactly and is rescored; the
+    # tie key keeps e_0
     g = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.5], [0.0, 1.5, 3.0]])
-    assert _ellipsoid_search(g, 2.0)[0] == [0, 1, -1]
+    assert _ellipsoid_search(g, 2.0)[0] == [1, 0, 0]
     assert rescored == [[0, 1, -1]]
     # the pair ball, radius^2 = 2.5, scores the same three points
     rescored.clear()
     res = brute_force_slv(GramMatrix(g), np.sqrt(2.5))
-    assert res.a_star.entries.tolist() == [0, 1, -1]
+    assert res.a_star.entries.tolist() == [1, 0, 0]
     assert (res.f_star, res.candidates_evaluated) == (2.0, 3)
     assert rescored == [[0, 1, -1]]
     # a unit vector's running sum is already G_jj, bit for bit
     rescored.clear()
-    assert _ellipsoid_search(np.eye(4), 1.5)[0] == [0, 0, 0, 1]
+    assert _ellipsoid_search(np.eye(4), 1.5)[0] == [1, 0, 0, 0]
     assert rescored == []
 
 
@@ -268,7 +272,7 @@ def test_ball_only_when_cholesky_fails():
 def test_deep_search_needs_no_recursion():
     n = 1500
     res = brute_force_slv(GramMatrix(np.eye(n)), 1.0)
-    assert res.a_star.entries.tolist() == [0] * (n - 1) + [1]
+    assert res.a_star.entries.tolist() == [1] + [0] * (n - 1)
     assert res.candidates_evaluated == n
 
 
@@ -277,10 +281,10 @@ def test_deep_search_past_the_unit_vectors():
     # levels deep to the same point and count
     n = 1500
     res = brute_force_slv(GramMatrix(np.eye(n)), 1.5)
-    assert res.a_star.entries.tolist() == [0] * (n - 1) + [1]
+    assert res.a_star.entries.tolist() == [1] + [0] * (n - 1)
     assert res.candidates_evaluated == n
     point, _, count = _ellipsoid_search(np.eye(n), 1.5)
-    assert point == [0] * (n - 1) + [1]
+    assert point == [1] + [0] * (n - 1)
     assert count == n
 
 

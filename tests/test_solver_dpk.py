@@ -480,19 +480,24 @@ THIRD = 1.0 / 3.0
 
 @pytest.mark.parametrize("h, power, a_star, f_hex, rival", [
     (((-2 * THIRD, 2 * THIRD), (0.0, 1.0), (-2 * THIRD, -2 * THIRD)), "0x1.cb83449737327p+1",
-     [0, 1, -1], "0x1.59d0c9cc759fcp-2", [1, 1, 0]),
+     [1, 1, 0], "0x1.59d0c9cc759fcp-2", [0, 1, -1]),
     (((-1.0, -1.0), (1.0, -1.0), (-2.0, 2.0), (2.0, 2.0)), "0x1.0f74e8f670bf4p+2",
      [1, 0, 0, -2], "0x1.d7b9a738e9678p-4", [0, 1, -2, 0]),
 ], ids=["thirds", "integer-n4"])
-def test_exact_ties_go_to_the_first_vertex_on_the_grid(h, power, a_star, f_hex, rival):
+def test_exact_ties_go_by_the_tie_key(h, power, a_star, f_hex, rival):
     # a_star and rival (not negations of each other) tie exactly on
-    # quad_objective, the value f_star reports; the one at the vertex
-    # that comes first on the 1e-9 grid wins, as it did when every
-    # vertex was sorted
+    # quad_objective, the value f_star reports, and have the same |a|^2;
+    # the lexicographically larger wins, and the oracle agrees
     gram, dec = build_gram_mimo(MimoChannel(h_matrix=np.array(h), power=float.fromhex(power)))
     res = solve_dpk(gram, dec, budget=None)
     assert res.a_star.entries.tolist() == a_star
     assert res.f_star == float.fromhex(f_hex) == quadratic_form(gram, rival)
+    assert sum(x * x for x in a_star) == sum(x * x for x in rival) and a_star > rival
+    oracle = brute_force_slv(gram, certification_radius(gram, res.f_star))
+    assert oracle.a_star.entries.tolist() == a_star
+    # the witness is a vertex whose cells hold a_star
+    image = (dec.v / dec.d[:, None]) @ res.witness_point
+    assert np.all(np.abs(image - res.a_star.entries) <= 0.5 + 1e-9)
 
 
 @pytest.mark.parametrize("h, power, a_star, f_hex, rival", [

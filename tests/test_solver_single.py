@@ -184,8 +184,9 @@ def test_tie_prefers_unit_vector():
     ((-3.0, 1.0, 2.0, 0.0), 4.0, [1, 0, -1, 0]),
 ])
 def test_exact_interval_tie_goes_to_the_smallest_x(h, power, a_star):
-    # two roundings of x h tie exactly on G below every unit vector; the
-    # one on the earlier interval wins, as before the search was shared
+    # two roundings of x h tie exactly on G below every unit vector; on
+    # these channels the one on the earlier interval is also first by
+    # the tie key, which picks it
     res = solve_single(h, power)
     assert res.a_star.entries.tolist() == a_star
     assert np.array_equal(np.floor(res.witness_point[0] * np.array(h) + 0.5), a_star)
@@ -214,12 +215,17 @@ def test_lowest_on_g_needs_a_value_strictly_below_best_f():
     assert _lowest_on_g(g, [a], np.nextafter(f, np.inf)) == (0, f)
 
 
-def test_lowest_on_g_gives_an_exact_tie_to_the_first_row():
+def test_lowest_on_g_breaks_an_exact_tie_by_the_tie_key():
+    # on G = I the value is |a|^2: among equal values the lexicographically
+    # largest canonical a wins, in either sign and in any row order
     g = np.diag([1.0, 1.0, 1.0])
-    first, second, lower = np.array([1, 1, 0]), np.array([0, -1, 1]), np.array([1, 0, 0])
-    assert _lowest_on_g(g, [first, second], 3.0) == (0, 2.0)
-    assert _lowest_on_g(g, [second, first], 3.0) == (0, 2.0)
-    assert _lowest_on_g(g, [first, second, lower], 3.0) == (2, 1.0)
+    larger, smaller, lower = np.array([0, -1, -1]), np.array([0, -1, 1]), np.array([1, 0, 0])
+    assert _lowest_on_g(g, [larger, smaller], 3.0) == (0, 2.0)
+    assert _lowest_on_g(g, [smaller, larger], 3.0) == (1, 2.0)
+    assert _lowest_on_g(g, [smaller, larger, lower], 3.0) == (2, 1.0)
+    # a lower value wins over a smaller |a|^2
+    g = np.array([[3.0, -2.0, 0.0], [-2.0, 3.0, 0.0], [0.0, 0.0, 10.0]])
+    assert _lowest_on_g(g, [np.array([0, 0, 1]), np.array([2, 2, 0])], 100.0) == (1, 8.0)
 
 
 def test_sweep_overflow_keeps_the_unit_vector():
